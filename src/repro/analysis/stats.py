@@ -10,11 +10,15 @@ import random
 
 def percentile(samples: collections.abc.Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile; ``pct`` in [0, 100]."""
-    if not samples:
+    return sorted_percentile(sorted(samples), pct)
+
+
+def sorted_percentile(ordered: collections.abc.Sequence[float], pct: float) -> float:
+    """:func:`percentile` of samples already in ascending order."""
+    if not ordered:
         raise ValueError("no samples")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0,100], got {pct}")
-    ordered = sorted(samples)
     if len(ordered) == 1:
         return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)
@@ -68,13 +72,14 @@ class LatencyStats:
     def from_samples(cls, samples: collections.abc.Sequence[float]) -> "LatencyStats":
         if not samples:
             raise ValueError("no samples")
+        ordered = sorted(samples)
         return cls(
             count=len(samples),
             mean=sum(samples) / len(samples),
-            p50=percentile(samples, 50),
-            p95=percentile(samples, 95),
-            p99=percentile(samples, 99),
-            p999=percentile(samples, 99.9),
+            p50=sorted_percentile(ordered, 50),
+            p95=sorted_percentile(ordered, 95),
+            p99=sorted_percentile(ordered, 99),
+            p999=sorted_percentile(ordered, 99.9),
             max=max(samples),
         )
 
@@ -281,10 +286,10 @@ class ReservoirSample:
         return LatencyStats(
             count=self.count,
             mean=self.mean,
-            p50=percentile(ordered, 50),
-            p95=percentile(ordered, 95),
-            p99=percentile(ordered, 99),
-            p999=percentile(ordered, 99.9),
+            p50=sorted_percentile(ordered, 50),
+            p95=sorted_percentile(ordered, 95),
+            p99=sorted_percentile(ordered, 99),
+            p999=sorted_percentile(ordered, 99.9),
             max=self._max,
         )
 

@@ -91,9 +91,11 @@ class ServiceEndpoint:
     # rings), so its profile is the *sampler* form: fluid windows draw
     # sojourns from the balancer's own latency reservoir — the
     # empirical steady-state distribution the discrete path measured.
-    # Cold start (too few samples) or any degraded ring returns None,
-    # which keeps the injector discrete until the service has both
-    # warmed up and healed; the profile is re-queried at every window.
+    # Cold start (too few samples), an empty balancer (every replica
+    # released, awaiting re-placement) or any degraded ring returns
+    # None, which keeps the injector discrete — where arrivals shed —
+    # until the service has both warmed up and healed; the profile is
+    # re-queried at every window.
 
     FLUID_MIN_SAMPLES = 64
 
@@ -105,7 +107,9 @@ class ServiceEndpoint:
         reservoir = balancer.latencies_ns
         if reservoir.sample_size < self.FLUID_MIN_SAMPLES:
             return None
-        if any(d.health_weight() <= 0.0 for d in balancer.deployments):
+        if not balancer.deployments or any(
+            d.health_weight() <= 0.0 for d in balancer.deployments
+        ):
             return None
         from repro.sim.fluid import FluidProfile
 

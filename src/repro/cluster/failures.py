@@ -11,6 +11,7 @@ victims from a live :class:`~repro.cluster.deployment.Deployment`.
 
 from __future__ import annotations
 
+from repro.cluster.composite import CompositeDeployment
 from repro.cluster.deployment import Deployment
 from repro.fabric.datacenter import Datacenter
 from repro.fabric.torus import NodeId
@@ -77,13 +78,17 @@ class ClusterFailureInjector:
 
     def kill_ring(
         self,
-        deployment: Deployment,
+        deployment: Deployment | CompositeDeployment,
         kind: FailureKind = FailureKind.FPGA_HARDWARE_FAULT,
     ) -> list[NodeId]:
         """Fail enough of the ring's healthy nodes that no rotation can
         save it — one more failure than the ring has spares.  Returns
         the victim nodes; the next health sweep marks the assignment
-        unservable and reconciliation re-places the replica."""
+        unservable and reconciliation re-places the replica.  A
+        composite loses its first member ring: one dead member makes
+        the whole chain unservable."""
+        if isinstance(deployment, CompositeDeployment):
+            deployment = deployment.members[0]
         assignment = deployment.assignment
         if assignment is None:
             raise ValueError(f"{deployment.name} is not deployed")

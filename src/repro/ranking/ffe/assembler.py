@@ -10,6 +10,7 @@ at Thread Slot 0.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 
 from repro.hardware.constants import (
@@ -34,11 +35,22 @@ class ThreadAssignment:
 
 @dataclasses.dataclass
 class FfeProgram:
-    """A full processor load: every thread's work for one model."""
+    """A full processor load: every thread's work for one model.
+
+    A program is fixed once assembled; what is derived from it is
+    computed on first use and kept.
+    """
 
     threads: list  # ThreadAssignment, indexed core-major
     core_count: int
     threads_per_core: int
+    # The generated straight-line function FfeProcessor.evaluate_only runs.
+    evaluator: collections.abc.Callable | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _output_slots: frozenset | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def thread(self, core: int, slot: int) -> ThreadAssignment:
         return self.threads[core * self.threads_per_core + slot]
@@ -55,12 +67,14 @@ class FfeProgram:
             for expr in thread.expressions
         )
 
-    def output_slots(self) -> set:
-        return {
-            expr.output_slot
-            for thread in self.threads
-            for expr in thread.expressions
-        }
+    def output_slots(self) -> frozenset:
+        if self._output_slots is None:
+            self._output_slots = frozenset(
+                expr.output_slot
+                for thread in self.threads
+                for expr in thread.expressions
+            )
+        return self._output_slots
 
 
 def assemble(

@@ -62,7 +62,7 @@ COMPLEX_OPS = frozenset({Opcode.FPDIV, Opcode.LN, Opcode.EXP, Opcode.FTOI})
 REGISTER_COUNT = 32  # per-thread architectural registers
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Instruction:
     """One three-address instruction.
 

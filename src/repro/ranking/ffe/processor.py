@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 
 from repro.ranking.ffe.assembler import FfeProgram, cluster_of
 from repro.ranking.ffe.compiler import CompiledExpression
@@ -179,14 +180,93 @@ class FfeProcessor:
         )
 
     def evaluate_only(self, features: dict) -> dict:
-        """Functional-only execution (no timing); used by the software
-        baseline where timing is modelled differently."""
-        outputs: dict = {}
-        regs = [0.0] * REGISTER_COUNT
-        for thread in self.program.threads:
-            for expr in thread.expressions:
-                for instr in expr.instructions:
-                    self._execute_instruction(
-                        instr, regs, features, outputs, expr.output_slot
-                    )
-        return outputs
+        """Functional-only execution (no timing): the program's outputs
+        for ``features``, from the straight-line function generated for
+        it on first use (see :func:`compile_program`).  Every thread's
+        expressions run in program order over one shared register file,
+        exactly as :meth:`_execute_instruction` would run them."""
+        program = self.program
+        evaluate = program.evaluator
+        if evaluate is None:
+            evaluate = program.evaluator = compile_program(program)
+        return evaluate(features)
+
+
+# Each opcode as one statement over the register locals ``r0``..``r31``:
+# the straight-line twin of FfeProcessor._execute_instruction.  ``imm``
+# is LDC's constant, LDF's feature slot or RET's output slot.
+_STATEMENTS = {
+    Opcode.LDC: "{dst} = {imm}",
+    Opcode.LDF: "{dst} = get({imm}, 0.0)",
+    Opcode.ADD: "{dst} = {a} + {b}",
+    Opcode.SUB: "{dst} = {a} - {b}",
+    Opcode.MUL: "{dst} = {a} * {b}",
+    Opcode.MIN: "{dst} = min({a}, {b})",
+    Opcode.MAX: "{dst} = max({a}, {b})",
+    Opcode.NEG: "{dst} = -{a}",
+    Opcode.ABS: "{dst} = abs({a})",
+    Opcode.CMPLT: "{dst} = 1.0 if {a} < {b} else 0.0",
+    Opcode.CMPLE: "{dst} = 1.0 if {a} <= {b} else 0.0",
+    Opcode.CMPEQ: "{dst} = 1.0 if {a} == {b} else 0.0",
+    Opcode.SEL: "{dst} = {b} if {a} != 0.0 else {c}",
+    Opcode.FPDIV: "{dst} = {a} / {b} if {b} != 0.0 else 0.0",
+    Opcode.LN: "{dst} = log({a}) if {a} > 0.0 else 0.0",
+    Opcode.EXP: "{dst} = exp(min({a}, 700.0))",
+    Opcode.FTOI: "{dst} = float(int({a}))",
+    Opcode.RET: "o[{imm}] = {a}",
+}
+
+
+def compile_program(program: FfeProgram):
+    """Generate ``f(features) -> outputs`` running ``program`` straight-line.
+
+    The registers become locals initialised to ``0.0`` once and shared
+    by every expression, as the interpreter's register file is.  LDC
+    constants come from a bound table, so inf, nan and -0.0 survive;
+    int feature and output slots are literals.
+    """
+    constants: list = []
+
+    def constant(value) -> str:
+        constants.append(value)
+        return f"k[{len(constants) - 1}]"
+
+    def slot(value) -> str:
+        return repr(value) if type(value) is int else constant(value)
+
+    lines = []
+    for thread in program.threads:
+        for expr in thread.expressions:
+            for instr in expr.instructions:
+                op = instr.op
+                if op is Opcode.LDC:
+                    imm = constant(float(instr.imm))
+                elif op is Opcode.LDF:
+                    imm = slot(instr.imm)
+                elif op is Opcode.RET:
+                    imm = slot(expr.output_slot)
+                else:
+                    imm = None
+                statement = _STATEMENTS[op].format(
+                    dst=f"r{instr.dst}",
+                    a=f"r{instr.a}",
+                    b=f"r{instr.b}",
+                    c=f"r{instr.c}",
+                    imm=imm,
+                )
+                lines.append(f"    {statement}")
+    registers = " = ".join(f"r{i}" for i in range(REGISTER_COUNT))
+    source = "\n".join(
+        [
+            "def _evaluate(features):",
+            "    k = _k",
+            "    get = features.get",
+            "    o = {}",
+            f"    {registers} = 0.0",
+            *lines,
+            "    return o\n",
+        ]
+    )
+    namespace = {"_k": tuple(constants), "log": math.log, "exp": math.exp}
+    exec(compile(source, "<ffe program>", "exec"), namespace)
+    return namespace["_evaluate"]

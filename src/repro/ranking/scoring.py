@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import math
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TreeNode:
     """A binary decision node (``left``/``right``) or a leaf (``value``).
 
@@ -127,7 +128,13 @@ class NeuralScorer:
 
 
 class BoostedTreeScorer:
-    """An additive tree ensemble split into three scoring banks."""
+    """An additive tree ensemble split into three scoring banks.
+
+    The ensemble is fixed once built, as the model on a scoring FPGA
+    is: :meth:`evaluate_bank` runs a Python function generated from the
+    bank's trees on first use (see :func:`compile_bank`), while
+    :meth:`evaluate` walks the trees and serves as its oracle.
+    """
 
     BANKS = 3
 
@@ -136,6 +143,7 @@ class BoostedTreeScorer:
             raise ValueError("scorer needs at least one tree")
         self.trees = list(trees)
         self.learning_rate = learning_rate
+        self._compiled_banks: dict = {}  # bank index -> generated function
 
     def bank(self, index: int) -> list:
         """The trees evaluated on scoring FPGA ``index`` (round-robin)."""
@@ -144,10 +152,14 @@ class BoostedTreeScorer:
         return self.trees[index :: self.BANKS]
 
     def evaluate_bank(self, index: int, packed: collections.abc.Sequence[float]) -> float:
-        """Partial sum contributed by one scoring FPGA."""
-        return self.learning_rate * sum(
-            tree.evaluate(packed) for tree in self.bank(index)
-        )
+        """Partial sum contributed by one scoring FPGA: the float
+        operations of ``learning_rate * sum(tree.evaluate(packed) for
+        tree in bank)``, in the same order."""
+        evaluate = self._compiled_banks.get(index)
+        if evaluate is None:
+            evaluate = compile_bank(self.bank(index), self.learning_rate)
+            self._compiled_banks[index] = evaluate
+        return evaluate(packed)
 
     def evaluate(self, packed: collections.abc.Sequence[float]) -> float:
         """The full score: what the three banks' partial sums add up to."""
@@ -162,3 +174,66 @@ class BoostedTreeScorer:
     @property
     def tree_count(self) -> int:
         return len(self.trees)
+
+
+# Split nodes deeper than this below a generated function's root move
+# into a helper function, keeping generated expressions well inside the
+# parser's nesting limits whatever the tree depth.
+_MAX_NESTING = 32
+
+
+def compile_bank(
+    trees: collections.abc.Sequence[DecisionTree], learning_rate: float
+) -> collections.abc.Callable[[collections.abc.Sequence[float]], float]:
+    """Generate ``f(packed)`` returning ``learning_rate * sum(trees)``.
+
+    Each tree becomes one nested conditional expression over constant
+    indices, ``(left if p[feature] <= threshold else right)``; the trees
+    are summed as a tuple in bank order from an int 0, then scaled, so
+    every float operation happens in the interpreter's order.  A
+    ``packed`` shorter than the widest split feature is padded with
+    ``0.0``, which is what :meth:`DecisionTree.evaluate` reads there.
+    Finite numbers are emitted as literals (``repr`` round-trips a
+    finite float exactly); anything else is bound through a constant
+    table.
+    """
+    constants: list = []
+    helpers: list = []
+    width = 0  # one past the widest non-negative split feature
+
+    def constant(value) -> str:
+        if type(value) in (int, float) and math.isfinite(value):
+            return repr(value)
+        constants.append(value)
+        return f"_k[{len(constants) - 1}]"
+
+    def emit(node: TreeNode, depth: int) -> str:
+        nonlocal width
+        if node.is_leaf:
+            return constant(node.value)
+        if depth == _MAX_NESTING:
+            index = len(helpers)
+            helpers.append("")  # reserved: the subtree may add helpers
+            helpers[index] = f"def _s{index}(p, q):\n    return {emit(node, 0)}\n"
+            return f"_s{index}(p, q)"
+        feature = int(node.feature)
+        if feature < 0:  # the interpreter indexes the caller's vector
+            value = f"q[{feature}]"
+        else:
+            width = max(width, feature + 1)
+            value = f"p[{feature}]"
+        left = emit(node.left, depth + 1)
+        right = emit(node.right, depth + 1)
+        return f"({left} if {value} <= {constant(node.threshold)} else {right})"
+
+    total = "".join(emit(tree.root, 0) + ", " for tree in trees)
+    pad = f"    if len(q) < {width}:\n        p = [*q, *[0.0] * ({width} - len(q))]\n"
+    source = "".join(helpers) + (
+        "def _bank(q):\n"
+        "    p = q\n"
+        f"{pad if width else ''}"
+        f"    return {constant(learning_rate)} * sum(({total}))\n"
+    )
+    namespace = {"_k": tuple(constants)}
+    exec(compile(source, "<scorer bank>", "exec"), namespace)
+    return namespace["_bank"]

@@ -496,6 +496,24 @@ def test_member_death_fails_replica_and_watchdog_replaces_the_gang():
     assert stats.completed == 20
 
 
+def test_kill_ring_on_a_composite_kills_its_first_member():
+    """Regression: kill_ring(CompositeDeployment) raised AttributeError
+    (a composite has no assignment of its own).  It now kills the first
+    member ring, which makes the whole chain unservable."""
+    eng, dc, manager = small_cluster(pods=3)
+    handle = manager.apply(composite_spec(rings=2))
+    (replica,) = handle.deployments
+    victims = ClusterFailureInjector(dc).kill_ring(replica)
+    first = replica.members[0]
+    first_slot = manager.scheduler.slot_of(first)
+    assert victims and set(victims) <= set(first.assignment.ring_nodes)
+    eng.run(until=eng.now + 12e9)  # the watchdog sweeps and reconciles
+    assert replica.health_weight() == 0.0
+    assert replica in handle.retired
+    assert manager.scheduler.cordoned_slots == [first_slot]
+    assert handle.status().ready_replicas == 1
+
+
 def test_composite_timeout_budget_is_end_to_end():
     eng, dc, manager = small_cluster()
     handle = manager.apply(composite_spec(rings=2, slots_per_server=1))

@@ -7,6 +7,13 @@ import math
 import pytest
 
 from repro.analysis import ReservoirSample
+from repro.cluster import (
+    ClusterFailureInjector,
+    ClusterManager,
+    ServiceSpec,
+    echo_service,
+)
+from repro.fabric import Datacenter, TorusTopology
 from repro.sim import (
     AnyOf,
     Engine,
@@ -250,6 +257,45 @@ def test_fluid_off_is_the_default_and_discrete_path_is_unchanged():
     a = run_once(False, factory, count=1_000)
     b = run_once(False, factory, count=1_000)
     assert a == b  # same seed, same series — still fully deterministic
+
+
+def endpoint_outage(fluid: bool):
+    """A 1-replica echo service behind its endpoint loses its only ring
+    mid-run; arrivals must shed until the replacement serves."""
+    engine = Engine(seed=1, fluid=fluid)
+    datacenter = Datacenter(
+        engine, num_pods=1, topology=TorusTopology(width=3, height=3)
+    )
+    manager = ClusterManager(datacenter)
+    handle = manager.apply(
+        ServiceSpec(
+            service=echo_service(),
+            health_period_ns=0.1 * SEC,
+            request_timeout_ns=40 * MS,
+        )
+    )
+    traffic = OpenLoopInjector(
+        engine,
+        manager.endpoint("echo-service"),
+        PoissonArrivals(5_000.0),
+        [object()],
+        timeout_ns=40 * MS,
+    )
+    done = traffic.run(10_000)
+    engine.run(until=engine.now + 0.5 * SEC)
+    ClusterFailureInjector(datacenter).kill_ring(handle.deployments[0])
+    return engine.run_until(done)
+
+
+def test_fluid_endpoint_sheds_while_its_balancer_is_empty():
+    """Regression: while the killed replica awaited re-placement the
+    endpoint's fluid profile was FluidProfile(servers=0), which raised
+    ValueError; an empty balancer now keeps the run discrete, where the
+    arrivals shed exactly as with fluid off."""
+    fluid = endpoint_outage(True)
+    assert fluid.rejected > 0
+    assert fluid.offered == fluid.admitted + fluid.rejected
+    assert fluid.to_dict() == endpoint_outage(False).to_dict()
 
 
 # --- coordinator mechanics ------------------------------------------------
