@@ -23,6 +23,8 @@ import dataclasses
 import itertools
 
 from repro.analysis import LatencyStats, ReservoirSample, ThroughputMeter
+from repro.cluster.tenancy import RegionClaim, dedicated_claim
+from repro.fabric.datacenter import RingSlot
 from repro.fabric.pod import Pod
 from repro.fabric.server import Server
 from repro.host.slots import (
@@ -74,7 +76,11 @@ class InjectorStats:
 
 
 class Deployment:
-    """One service deployed on one ring of one pod."""
+    """One service deployed on one claim — a whole ring, or a region of a
+    shared ring — of one pod.
+
+    Built without a ``claim``, the deployment holds its whole ring.
+    """
 
     def __init__(
         self,
@@ -85,7 +91,7 @@ class Deployment:
         adapter: RequestAdapter | None = None,
         mapping_manager: MappingManager | None = None,
         slots_per_server: int = 48,
-        region=None,  # RegionClaim when this is a tenant of a shared ring
+        claim: RegionClaim | None = None,
     ):
         self.engine = engine
         self.pod = pod
@@ -94,7 +100,12 @@ class Deployment:
         self.adapter = adapter or RequestAdapter()
         self.mapping_manager = mapping_manager or MappingManager(engine, pod)
         self.slots_per_server = slots_per_server
-        self.region = region
+        self.claim = claim or dedicated_claim(
+            RingSlot(pod.pod_id, ring_x),
+            [server.node_id for server in pod.ring(ring_x)],
+            service.name,
+            slots_per_server,
+        )
         self.assignment: RingAssignment | None = None
         self.released = False  # set when the scheduler reclaims the ring
         self.meter = ThroughputMeter(engine)
@@ -109,9 +120,16 @@ class Deployment:
     @property
     def name(self) -> str:
         base = f"{self.service.name}@pod{self.pod.pod_id}/ring{self.ring_x}"
-        if self.region is not None:
-            return f"{base}/region{self.region.index}"
+        if self.claim.shared:
+            return f"{base}/region{self.claim.index}"
         return base
+
+    @property
+    def members(self) -> tuple:
+        """The ring deployments behind this replica: just this one (a
+        :class:`~repro.cluster.composite.CompositeDeployment` lists its
+        gang)."""
+        return (self,)
 
     # -- deployment ------------------------------------------------------------
 
@@ -123,11 +141,13 @@ class Deployment:
 
         Split from :meth:`finish_deploy` so the scheduler can overlap
         the ~1 s full-ring reconfigurations of a gang's members when
-        they sit in different pods.  A region tenant configures only
-        its granted node run, not the whole ring.
+        they sit in different pods.  Only the claim's nodes configure:
+        the whole ring for a dedicated claim, the granted run for a
+        region tenant.
         """
-        nodes = list(self.region.nodes) if self.region is not None else None
-        return self.mapping_manager.deploy(self.service, self.ring_x, nodes=nodes)
+        return self.mapping_manager.deploy(
+            self.service, self.ring_x, nodes=self.claim.nodes
+        )
 
     def finish_deploy(self, done: Event) -> RingAssignment:
         """Wait out a :meth:`begin_deploy` and adopt the assignment."""
@@ -180,12 +200,12 @@ class Deployment:
         if store is None:
             client = SlotClient(server)
             store = Store(self.engine, name=f"leases:{self.name}:{server.machine_id}")
-            if self.region is not None:
+            if self.claim.shared:
                 # Co-resident tenants share the ring's servers: draw the
                 # weighted fair-share quota from the server's shared
                 # allocator so slot ids never collide across tenants.
                 allocator = shared_slot_allocator(server)
-                quota = min(self.region.slot_quota, server.buffers.slot_count)
+                quota = min(self.claim.slot_quota, server.buffers.slot_count)
                 slot_ids = allocator.acquire(quota, owner=self.name, owner_obj=self)
                 self._owned_slots.append((server, slot_ids))
                 leases = [client.lease_for(slot_id) for slot_id in slot_ids]
@@ -198,7 +218,8 @@ class Deployment:
         return store
 
     def release_slots(self) -> None:
-        """Return quota slots to the shared allocators (region tenants).
+        """Return quota slots to the shared allocators (region tenants
+        hold some; a dedicated ring holds none).
 
         Called by the scheduler on release so a successor tenant of the
         same servers can acquire a full quota.

@@ -87,8 +87,7 @@ class ClusterFailureInjector:
         unservable and reconciliation re-places the replica.  A
         composite loses its first member ring: one dead member makes
         the whole chain unservable."""
-        if isinstance(deployment, CompositeDeployment):
-            deployment = deployment.members[0]
+        deployment = deployment.members[0]
         assignment = deployment.assignment
         if assignment is None:
             raise ValueError(f"{deployment.name} is not deployed")

@@ -417,21 +417,9 @@ class ClusterManager:
         self.handles.pop(handle.name, None)
         return freed
 
-    # -- replica plumbing (single ring vs composite gang) ----------------------
-
-    @staticmethod
-    def _member_rings(replica) -> list[Deployment]:
-        """The physical ring deployments behind one replica."""
-        if isinstance(replica, CompositeDeployment):
-            return replica.members
-        return [replica]
-
     def _release_replica(self, replica) -> list[RingSlot]:
         """Free every ring a replica occupies; returns the slots."""
-        return [
-            self.scheduler.release(member)
-            for member in self._member_rings(replica)
-        ]
+        return [self.scheduler.release(member) for member in replica.members]
 
     # -- reconciliation --------------------------------------------------------
 
@@ -498,19 +486,16 @@ class ClusterManager:
         for replica in list(balancer.deployments):
             if replica.health_weight() > 0.0:
                 continue
-            for member in self._member_rings(replica):
+            for member in replica.members:
                 dead = member.health_weight() == 0.0
-                region = getattr(member, "region", None)
                 slot = self.scheduler.release(member)
                 if dead:
-                    if region is not None:
-                        # Only the tenant's node run is bad hardware;
-                        # co-resident tenants keep serving the ring.
-                        self.scheduler.cordon_region(
-                            slot, region.nodes, reason="spares exhausted"
-                        )
-                    else:
-                        self.scheduler.cordon(slot, reason="spares exhausted")
+                    # Only the claim's nodes are bad hardware: a whole
+                    # ring, or a tenant's run while co-resident tenants
+                    # keep serving the ring.
+                    self.scheduler.cordon_region(
+                        slot, member.claim.nodes, reason="spares exhausted"
+                    )
                 actions.append(
                     ReconcileAction(
                         spec.name,
@@ -536,7 +521,7 @@ class ClusterManager:
         # cannot be placed degrades the service by at most one replica
         # instead of taking every healthy old-shape replica dark.
         for replica in list(balancer.deployments):
-            if len(self._member_rings(replica)) == spec.rings_per_replica:
+            if len(replica.members) == spec.rings_per_replica:
                 continue
             outcome = self._roll_one(
                 handle,
@@ -581,9 +566,8 @@ class ClusterManager:
         """
         spec = handle.spec
         balancer = handle.balancer
-        members = self._member_rings(replica)
         free = len(self.scheduler.free_slots())
-        if free + len(members) < spec.rings_per_replica:
+        if free + len(replica.members) < spec.rings_per_replica:
             actions.append(
                 ReconcileAction(
                     spec.name,
@@ -657,19 +641,14 @@ class ClusterManager:
                     )
             except PlacementFailed as failure:
                 # The chosen slot turned out to have bad hardware the
-                # scheduler had no record of; hold it out and retry.  A
-                # failed *region* cordons only its node run — the
-                # ring's other tenants are unaffected.
-                if failure.nodes:
-                    self.scheduler.cordon_region(
-                        failure.slot,
-                        failure.nodes,
-                        reason=f"configure failed: {failure.cause}",
-                    )
-                else:
-                    self.scheduler.cordon(
-                        failure.slot, reason=f"configure failed: {failure.cause}"
-                    )
+                # scheduler had no record of; hold the claim's nodes out
+                # and retry.  A failed *region* cordons only its node
+                # run — the ring's other tenants are unaffected.
+                self.scheduler.cordon_region(
+                    failure.slot,
+                    failure.nodes,
+                    reason=f"configure failed: {failure.cause}",
+                )
                 actions.append(
                     ReconcileAction(
                         spec.name, "cordon", failure.slot, detail=str(failure.cause)
@@ -691,10 +670,9 @@ class ClusterManager:
                     ReconcileAction(spec.name, "shortfall", None, detail=str(exc))
                 )
                 return None, actions
-            members = self._member_rings(placed)
-            for member in members:
+            for member in placed.members:
                 self.health_monitor(member.pod.pod_id)
-            slots = [self.scheduler.slot_of(member) for member in members]
+            slots = [self.scheduler.slot_of(member) for member in placed.members]
             actions.append(
                 ReconcileAction(
                     spec.name,
@@ -719,9 +697,9 @@ class ClusterManager:
         released; its service is queued for re-placement elsewhere via
         :meth:`_drain_preempted` before the evicting pass returns.
         """
-        region = victim.region
+        claim = victim.claim
         slot = self.scheduler.slot_of(victim)
-        victim_handle = self.handles.get(region.service)
+        victim_handle = self.handles.get(claim.service)
         if (
             victim_handle is not None
             and victim in victim_handle.balancer.deployments
@@ -736,7 +714,7 @@ class ClusterManager:
             spec.name,
             "preempt",
             slot,
-            detail=f"evicted batch tenant {region.service!r}",
+            detail=f"evicted batch tenant {claim.service!r}",
         )
 
     def _drain_preempted(self) -> list[ReconcileAction]:
@@ -925,7 +903,7 @@ class ClusterManager:
     def _sweep_body(self, handle: ServiceHandle) -> collections.abc.Generator:
         by_pod: dict[int, list] = {}
         for replica in list(handle.balancer.deployments):
-            for member in self._member_rings(replica):
+            for member in replica.members:
                 assignment = member.assignment
                 if assignment is None:
                     continue
@@ -959,10 +937,7 @@ class ClusterManager:
     def status_of(self, handle: ServiceHandle) -> ServiceStatus:
         rings = []
         for replica in handle.balancer.deployments:
-            slots = tuple(
-                self.scheduler.slot_of(member)
-                for member in self._member_rings(replica)
-            )
+            slots = tuple(self.scheduler.slot_of(member) for member in replica.members)
             rings.append(
                 RingStatus(
                     name=replica.name,

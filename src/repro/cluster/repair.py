@@ -243,11 +243,9 @@ class RepairQueue:
         if self.engine.fluid is not None:
             self.engine.fluid.note_transient("repair")
         ticket.components_serviced = self.datacenter.service_ring(ticket.slot)
-        if ticket.slot in self.scheduler.cordoned_slots:
-            self.scheduler.uncordon(ticket.slot)
         # Serviced boards return with empty staging DRAM and good
-        # hardware: drop the slot's cached images and lift any
-        # region-granular cordons (shared-ring tenancy).
+        # hardware: drop the slot's cached images and lift every cordon
+        # on the ring, whole or region-granular.
         self.scheduler.slot_serviced(ticket.slot)
         for callback in list(self.on_repaired):
             callback(ticket)

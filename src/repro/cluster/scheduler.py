@@ -2,9 +2,11 @@
 
 The production deployment (§2.3) ran one service over 1,632 machines —
 34 pods, each offering six 8-FPGA rings.  The scheduler owns that
-ring-granular resource view: it tracks which :class:`RingSlot`s are
-occupied, places new :class:`ServiceDefinition` instances under a
-placement policy, and accounts for capacity and spares so operators can
+resource view: one placement ledger records which nodes of which
+:class:`RingSlot` each replica member owns (a whole ring, a gang member
+ring, or a region of a shared ring) and which are cordoned; the
+scheduler places new :class:`ServiceDefinition` instances under a
+placement policy and accounts for capacity and spares so operators can
 ask "how many more rings can this datacenter absorb?".
 
 Placement policies:
@@ -22,6 +24,7 @@ Placement policies:
 
 from __future__ import annotations
 
+import collections
 import collections.abc
 import dataclasses
 import typing
@@ -31,7 +34,7 @@ from repro.cluster.tenancy import (
     RegionClaim,
     RingTenancy,
     check_region_fit,
-    pack_first_fit_decreasing,
+    dedicated_claim,
     region_node_count,
 )
 from repro.fabric.datacenter import Datacenter, RingSlot
@@ -56,16 +59,15 @@ class InsufficientClusterCapacity(Exception):
 class PlacementFailed(Exception):
     """A chosen slot could not be configured (bad hardware found late).
 
-    Carries the slot so the control plane can cordon it and retry on a
-    different ring.
+    Carries the slot and the claim's nodes — the whole ring, or a
+    region's run — so the control plane can cordon exactly those and
+    retry elsewhere.
     """
 
-    def __init__(self, slot: RingSlot, cause: Exception, nodes: tuple = ()):
+    def __init__(self, slot: RingSlot, cause: Exception, nodes: tuple):
         super().__init__(f"placement on {slot} failed: {cause}")
         self.slot = slot
         self.cause = cause
-        # For a region placement: the node run that failed to
-        # configure, so the control plane can cordon just that region.
         self.nodes = tuple(nodes)
 
 
@@ -180,7 +182,16 @@ class CapacityReport:
 
 
 class ClusterScheduler:
-    """Places service instances onto free torus rings across pods."""
+    """Places service instances onto free torus rings across pods.
+
+    Every placement decision lives in one ledger: a
+    :class:`~repro.cluster.tenancy.RingTenancy` per ring that a claim or
+    a cordon holds.  A whole-ring replica is one dedicated claim over
+    all of its ring's nodes, a gang is one dedicated claim per member
+    ring, a region tenant is a shared claim, and a whole-ring cordon is
+    a cordon over all of the ring's nodes.  A ring with no ledger entry
+    is free.
+    """
 
     def __init__(
         self,
@@ -197,9 +208,7 @@ class ClusterScheduler:
         self.engine = datacenter.engine
         self.policy = policy
         self.decisions: list[PlacementDecision] = []
-        self._occupied: dict[RingSlot, Deployment] = {}
-        self._cordoned: dict[RingSlot, str] = {}  # slot -> cordon reason
-        self._tenancies: dict[RingSlot, RingTenancy] = {}  # shared rings
+        self._ledger: dict[RingSlot, RingTenancy] = {}
         self._mapping_managers: dict[int, MappingManager] = {}
         self._next_pod_id = 0  # spread policy's round-robin cursor
         self.repair_queue: "RepairQueue | None" = None
@@ -215,26 +224,41 @@ class ClusterScheduler:
             self._mapping_managers[pod_id] = manager
         return self._mapping_managers[pod_id]
 
-    def set_bitstream_cache(self, cache: "BitstreamCache | None") -> None:
-        """Attach (or detach) the bitstream cache, fleet-wide."""
-        self.bitstream_cache = cache
-        for manager in self._mapping_managers.values():
-            manager.bitstream_cache = cache
+    def _ring_nodes(self, slot: RingSlot) -> list:
+        if slot not in self.datacenter.ring_slots():
+            raise ValueError(f"{slot} is not a ring of this datacenter")
+        return [server.node_id for server in self.datacenter.ring_servers(slot)]
+
+    def _ledger_for(self, slot: RingSlot) -> RingTenancy:
+        """``slot``'s ledger, opened on first use."""
+        if slot not in self._ledger:
+            self._ledger[slot] = RingTenancy(slot, self._ring_nodes(slot))
+        return self._ledger[slot]
+
+    def _prune(self, slot: RingSlot) -> None:
+        """Close ``slot``'s ledger once nothing holds the ring."""
+        tenancy = self._ledger.get(slot)
+        if tenancy is not None and tenancy.empty:
+            del self._ledger[slot]
 
     def free_slots(self) -> list[RingSlot]:
         return [
             slot for slot in self.datacenter.ring_slots()
-            if slot not in self._occupied
-            and slot not in self._cordoned
-            and slot not in self._tenancies
+            if self.tenancy_of(slot) is None
         ]
 
     def tenancy_of(self, slot: RingSlot) -> RingTenancy | None:
-        """The shared-ring ledger for ``slot``, if it hosts tenants."""
-        return self._tenancies.get(slot)
+        """``slot``'s ledger, while a claim or a cordon holds the ring."""
+        tenancy = self._ledger.get(slot)
+        return None if tenancy is None or tenancy.empty else tenancy
 
     def tenancies(self) -> list[RingTenancy]:
-        return [self._tenancies[slot] for slot in sorted(self._tenancies)]
+        """Every held ring's ledger, in slot order."""
+        return [
+            self._ledger[slot]
+            for slot in sorted(self._ledger)
+            if not self._ledger[slot].empty
+        ]
 
     def attach_repair_queue(self, queue: "RepairQueue") -> None:
         """Ticket every cordon through ``queue`` from now on.
@@ -249,9 +273,7 @@ class ClusterScheduler:
         if self.repair_queue is not None and self.repair_queue is not queue:
             raise RuntimeError("a repair queue is already attached")
         self.repair_queue = queue
-        for slot, reason in self._cordoned.items():
-            queue.open_ticket(slot, reason=reason)
-        for slot, tenancy in self._tenancies.items():
+        for slot, tenancy in self._ledger.items():
             if tenancy.cordoned:
                 queue.open_ticket(
                     slot, reason=next(iter(tenancy.cordoned.values()))
@@ -260,49 +282,32 @@ class ClusterScheduler:
     def cordon(self, slot: RingSlot, reason: str = "") -> None:
         """Hold ``slot`` out of placement (bad hardware awaiting service).
 
-        Cordoning an occupied or unknown slot raises: an occupied slot
-        counts against ``occupied_rings`` already, so also counting it
-        cordoned would double-subtract from ``free_rings`` (release it
-        first), and an unknown slot is a caller bug.  With a repair
-        queue attached a service ticket is opened for the slot.
+        A cordon over every node of the ring; see :meth:`cordon_region`.
         """
-        if slot not in self.datacenter.ring_slots():
-            raise ValueError(f"{slot} is not a ring of this datacenter")
-        if slot in self._occupied:
-            raise ValueError(f"{slot} is occupied; release it first")
-        if slot in self._tenancies:
-            raise ValueError(
-                f"{slot} is a shared ring; use cordon_region for its "
-                "node runs"
-            )
-        self._cordoned.setdefault(slot, reason)
-        if self.repair_queue is not None:
-            self.repair_queue.open_ticket(slot, reason=reason)
+        self.cordon_region(slot, self._ring_nodes(slot), reason)
 
     def cordon_region(
         self, slot: RingSlot, nodes: collections.abc.Sequence, reason: str = ""
     ) -> None:
-        """Hold one region's node run out of ``slot``'s free pool.
+        """Hold a node run of ``slot`` out of placement.
 
-        The slot keeps serving its other tenants; only the bad run
-        leaves the pool.  With a repair queue attached a (slot-level)
-        service ticket is opened — the technician services the whole
-        ring's broken components on one visit, which lifts every region
-        cordon via :meth:`slot_serviced`.
+        A run covering the whole ring is a whole-ring cordon (listed in
+        :attr:`cordoned_slots`, lifted by :meth:`uncordon`); a shorter
+        run leaves the ring serving its other tenants.  Cordoning nodes
+        of a live claim or of an unknown slot raises: a held node counts
+        as occupied already, so also counting it cordoned would
+        double-subtract from the free pool (release the claim first),
+        and an unknown slot is a caller bug.  With a repair queue
+        attached a (slot-level) service ticket is opened — the
+        technician services the whole ring's broken components on one
+        visit, which lifts every cordon via :meth:`slot_serviced`.
         """
-        if slot not in self.datacenter.ring_slots():
-            raise ValueError(f"{slot} is not a ring of this datacenter")
-        if slot in self._cordoned:
-            raise ValueError(f"{slot} is already cordoned whole")
-        tenancy = self._tenancies.get(slot)
-        if tenancy is None:
-            ring_nodes = [
-                server.node_id
-                for server in self.datacenter.pod(slot.pod_id).ring(slot.ring_x)
-            ]
-            tenancy = RingTenancy(slot, ring_nodes)
-            self._tenancies[slot] = tenancy
-        tenancy.cordon_region(tuple(nodes), reason)
+        if not set(nodes) <= set(self._ring_nodes(slot)):
+            raise ValueError(f"{list(nodes)} are not nodes of {slot}")
+        tenancy = self._ledger.get(slot)
+        if tenancy is not None and set(nodes) & tenancy.claimed_nodes:
+            raise ValueError(f"{slot} is occupied; release it first")
+        self._ledger_for(slot).cordon_region(tuple(nodes), reason)
         if self.repair_queue is not None:
             self.repair_queue.open_ticket(slot, reason=reason)
 
@@ -311,124 +316,106 @@ class ClusterScheduler:
 
         Serviced boards come back with empty staging DRAM, so every
         image the bitstream cache had for the ring's nodes is gone; and
-        region cordons lift — the bad node runs are bad no longer.
+        every cordon on the ring lifts — the bad hardware is bad no
+        longer.
         """
         if self.bitstream_cache is not None:
             for server in self.datacenter.ring_servers(slot):
                 self.bitstream_cache.invalidate(server.machine_id)
-        tenancy = self._tenancies.get(slot)
+        tenancy = self._ledger.get(slot)
         if tenancy is not None:
             tenancy.clear_cordons()
-            if tenancy.empty:
-                del self._tenancies[slot]
+            self._prune(slot)
 
     def uncordon(self, slot: RingSlot) -> None:
         """Return a cordoned slot to the placement pool (post-repair).
 
-        Raises ``KeyError`` for a slot that is not cordoned — silently
-        ignoring it let typos pass unnoticed mid-experiment.  A manual
-        uncordon cancels the slot's open service ticket, if any (the
-        operator serviced it out-of-band).
+        Raises ``KeyError`` for a slot that is not cordoned whole —
+        silently ignoring it let typos pass unnoticed mid-experiment.  A
+        manual uncordon cancels the slot's open service ticket, if any
+        (the operator serviced it out-of-band).
         """
-        if slot not in self._cordoned:
-            raise KeyError(f"{slot} is not cordoned")
-        del self._cordoned[slot]
+        self.cordon_reason(slot)  # KeyError unless cordoned whole
+        tenancy = self._ledger[slot]
+        del tenancy.cordoned[tuple(tenancy.ring_nodes)]
+        self._prune(slot)
         if self.repair_queue is not None:
             self.repair_queue.cancel(slot)
 
     def cordon_reason(self, slot: RingSlot) -> str:
-        """Why ``slot`` is cordoned (raises ``KeyError`` if it is not)."""
-        return self._cordoned[slot]
+        """Why ``slot`` is cordoned whole (raises ``KeyError`` if it is not)."""
+        tenancy = self._ledger.get(slot)
+        reason = tenancy.whole_cordon if tenancy is not None else None
+        if reason is None:
+            raise KeyError(f"{slot} is not cordoned")
+        return reason
 
     @property
     def cordoned_slots(self) -> list[RingSlot]:
-        return sorted(self._cordoned)
+        return [
+            tenancy.slot
+            for tenancy in self.tenancies()
+            if tenancy.whole_cordon is not None
+        ]
 
     def is_occupied(self, slot: RingSlot) -> bool:
-        """Whether a deployment (or any region tenant) holds ``slot``."""
-        if slot in self._occupied:
-            return True
-        tenancy = self._tenancies.get(slot)
+        """Whether any claim — a whole ring or a region tenant — holds ``slot``."""
+        tenancy = self._ledger.get(slot)
         return tenancy is not None and bool(tenancy.claims)
 
     def slot_of(self, deployment: Deployment) -> RingSlot:
         """The ring slot ``deployment`` occupies."""
-        region = getattr(deployment, "region", None)
-        if region is not None:
-            tenancy = self._tenancies.get(region.slot)
-            if tenancy is not None and tenancy.occupants.get(region.service) is deployment:
-                return region.slot
+        claim = deployment.claim
+        tenancy = self._ledger.get(claim.slot)
+        if tenancy is None or tenancy.occupants.get(claim.service) is not deployment:
             raise KeyError(f"{deployment.name} is not placed by this scheduler")
-        for slot, occupant in self._occupied.items():
-            if occupant is deployment:
-                return slot
-        raise KeyError(f"{deployment.name} is not placed by this scheduler")
+        return claim.slot
 
     def deployments(self) -> list[Deployment]:
-        whole = [self._occupied[slot] for slot in sorted(self._occupied)]
-        tenants = [
+        return [
             tenancy.occupants[service]
             for tenancy in self.tenancies()
-            for service in sorted(tenancy.claims)
-            if service in tenancy.occupants
+            for service in sorted(tenancy.occupants)
         ]
-        return whole + tenants
 
     def capacity_report(self) -> CapacityReport:
         queue = self.repair_queue
         cache = self.bitstream_cache
-        per_pod: dict[int, PodCapacity] = {}
-        by_pod: dict[int, list[RingSlot]] = {}
+        counts: dict[int, collections.Counter] = {}
+        spares = 0
         for slot in self.datacenter.ring_slots():
-            by_pod.setdefault(slot.pod_id, []).append(slot)
-        totals = {"occupied": 0, "cordoned": 0, "regions": 0, "region_cordons": 0}
-        for pod_id in sorted(by_pod):
-            occupied = cordoned = regions = region_cordons = 0
-            for slot in by_pod[pod_id]:
-                tenancy = self._tenancies.get(slot)
-                if tenancy is not None:
-                    regions += len(tenancy.claims)
-                    region_cordons += len(tenancy.cordoned)
-                    if tenancy.claims:
-                        occupied += 1
-                    else:
-                        # Only cordoned node runs remain: the ring is
-                        # out of the free pool but hosts nobody.
-                        cordoned += 1
-                elif slot in self._occupied:
-                    occupied += 1
-                elif slot in self._cordoned:
-                    cordoned += 1
-            per_pod[pod_id] = PodCapacity(
+            pod = counts.setdefault(slot.pod_id, collections.Counter())
+            pod["total"] += 1
+            tenancy = self.tenancy_of(slot)
+            if tenancy is None:
+                continue
+            # A ring with a claim is occupied; one holding only cordoned
+            # nodes is out of the free pool but hosts nobody.
+            pod["occupied" if tenancy.claims else "cordoned"] += 1
+            pod["regions"] += sum(1 for c in tenancy.claims.values() if c.shared)
+            pod["region_cordons"] += tenancy.region_cordons
+            spares += sum(d.spare_count for d in tenancy.occupants.values())
+        per_pod = {
+            pod_id: PodCapacity(
                 pod_id=pod_id,
-                total_rings=len(by_pod[pod_id]),
-                free_rings=len(by_pod[pod_id]) - occupied - cordoned,
-                occupied_rings=occupied,
-                cordoned_rings=cordoned,
-                tenant_regions=regions,
-                cordoned_regions=region_cordons,
+                total_rings=pod["total"],
+                free_rings=pod["total"] - pod["occupied"] - pod["cordoned"],
+                occupied_rings=pod["occupied"],
+                cordoned_rings=pod["cordoned"],
+                tenant_regions=pod["regions"],
+                cordoned_regions=pod["region_cordons"],
             )
-            totals["occupied"] += occupied
-            totals["cordoned"] += cordoned
-            totals["regions"] += regions
-            totals["region_cordons"] += region_cordons
-        spares = sum(
-            deployment.spare_count for deployment in self._occupied.values()
-        )
-        spares += sum(
-            occupant.spare_count
-            for tenancy in self._tenancies.values()
-            for occupant in tenancy.occupants.values()
-        )
+            for pod_id, pod in sorted(counts.items())
+        }
         return CapacityReport(
             total_rings=self.datacenter.total_rings,
-            occupied_rings=totals["occupied"],
+            occupied_rings=sum(pod["occupied"] for pod in counts.values()),
             total_spare_nodes=spares,
-            cordoned_rings=totals["cordoned"],
+            cordoned_rings=sum(pod["cordoned"] for pod in counts.values()),
             open_tickets=len(queue.open_tickets) if queue is not None else 0,
             next_repair_due_ns=queue.next_due_ns() if queue is not None else None,
-            tenant_regions=totals["regions"],
-            cordoned_regions=totals["region_cordons"],
+            tenant_regions=sum(pod["regions"] for pod in counts.values()),
+            cordoned_regions=sum(pod["region_cordons"] for pod in counts.values()),
             bitstream_hits=cache.hits if cache is not None else 0,
             bitstream_misses=cache.misses if cache is not None else 0,
             per_pod=per_pod,
@@ -562,8 +549,8 @@ class ClusterScheduler:
         """
         if rings < 1:
             raise ValueError(f"need at least one ring, got {rings}")
-        chosen = self._choose(rings, policy)
-        return self._configure_slots(service, chosen, adapter, slots_per_server)
+        claims = self._dedicated(service, self._choose(rings, policy), slots_per_server)
+        return self._configure_slots(service, claims, adapter, slots_per_server)
 
     def deploy_gang(
         self,
@@ -585,38 +572,53 @@ class ClusterScheduler:
         """
         if rings < 1:
             raise ValueError(f"need at least one ring, got {rings}")
-        chosen = self._choose_gang(rings, policy)
-        return self._configure_slots(service, chosen, adapter, slots_per_server)
+        claims = self._dedicated(
+            service, self._choose_gang(rings, policy), slots_per_server
+        )
+        return self._configure_slots(service, claims, adapter, slots_per_server)
+
+    def _dedicated(
+        self,
+        service: ServiceDefinition,
+        chosen: list[RingSlot],
+        slots_per_server: int,
+    ) -> list[RegionClaim]:
+        return [
+            dedicated_claim(slot, self._ring_nodes(slot), service.name, slots_per_server)
+            for slot in chosen
+        ]
 
     def _configure_slots(
         self,
         service: ServiceDefinition,
-        chosen: list[RingSlot],
+        claims: list[RegionClaim],
         adapter: RequestAdapter | None,
         slots_per_server: int,
     ) -> list[Deployment]:
-        """Configure the chosen rings, in waves of one slot per pod.
+        """Configure the chosen claims, in waves of one slot per pod.
 
         Rings in *different* pods reconfigure concurrently — a ~1 s
         full-ring reload per wave instead of per ring, which is what
         bounds gang re-placement time after a replica failure.  Rings
         in the *same* pod stay serial: same-pod deploys share the
         spare-image configure work and the FPGA rejects overlapping
-        reconfigurations.  Any configure failure rolls back every
-        already-placed ring before re-raising ``PlacementFailed`` —
+        reconfigurations.  A claim enters the ledger once its nodes
+        have configured.  Any configure failure rolls back every
+        already-placed claim before re-raising ``PlacementFailed`` —
         without the rollback, a partial placement stranded the earlier
-        rings in ``_occupied`` and leaked their capacity (the caller
-        only ever sees the exception).
+        rings in the ledger and leaked their capacity (the caller only
+        ever sees the exception).
         """
-        by_pod: dict[int, list[RingSlot]] = {}
-        for slot in chosen:
-            by_pod.setdefault(slot.pod_id, []).append(slot)
+        by_pod: dict[int, list[RegionClaim]] = {}
+        for claim in claims:
+            by_pod.setdefault(claim.slot.pod_id, []).append(claim)
         placed: dict[RingSlot, Deployment] = {}
         failure: PlacementFailed | None = None
         while failure is None and any(by_pod.values()):
             wave = [queue.pop(0) for queue in by_pod.values() if queue]
-            started: list[tuple[RingSlot, Deployment, object]] = []
-            for slot in wave:
+            started: list[tuple[RegionClaim, Deployment, object]] = []
+            for claim in wave:
+                slot = claim.slot
                 deployment = Deployment(
                     self.engine,
                     self.datacenter.pod(slot.pod_id),
@@ -625,52 +627,44 @@ class ClusterScheduler:
                     adapter=adapter,
                     mapping_manager=self.mapping_manager(slot.pod_id),
                     slots_per_server=slots_per_server,
+                    claim=claim,
                 )
                 try:
                     event = deployment.begin_deploy()
                 except InsufficientRingCapacity as exc:
-                    failure = PlacementFailed(slot, exc)
+                    failure = PlacementFailed(slot, exc, claim.nodes)
                     break
-                started.append((slot, deployment, event))
+                started.append((claim, deployment, event))
             # Settle every configure this wave launched (they progress
             # concurrently) even after a failure, so rollback acts on
             # stable state rather than racing in-flight reconfigures.
-            for slot, deployment, event in started:
+            for claim, deployment, event in started:
                 try:
                     deployment.finish_deploy(event)
                 except (InsufficientRingCapacity, ReconfigError) as exc:
                     if failure is None:
-                        failure = PlacementFailed(slot, exc)
+                        failure = PlacementFailed(claim.slot, exc, claim.nodes)
                     continue
-                self._occupied[slot] = deployment
-                placed[slot] = deployment
+                self._ledger_for(claim.slot).hold(claim, deployment)
+                placed[claim.slot] = deployment
         if failure is not None:
             for deployment in placed.values():
                 self.release(deployment)
+            self._prune(failure.slot)
             raise failure
         # Log decisions in chain order, and only for placements that
         # stuck — a rolled-back ring was never really placed.
         self.decisions.extend(
             PlacementDecision(
                 service=service.name,
-                slot=slot,
-                spares=placed[slot].spare_count,
+                slot=claim.slot,
+                spares=placed[claim.slot].spare_count,
             )
-            for slot in chosen
+            for claim in claims
         )
-        return [placed[slot] for slot in chosen]
+        return [placed[claim.slot] for claim in claims]
 
     # -- region tenancy (shared rings) -----------------------------------------
-
-    @staticmethod
-    def pack_regions(requests: list) -> list[list[str]]:
-        """Plan an FFD packing of ``(name, fraction)`` region requests.
-
-        Pure planning — no placement happens.  Feeding requests to
-        :meth:`deploy_region` largest-first realises the same packing,
-        since deploy_region is first-fit over rings in slot order.
-        """
-        return pack_first_fit_decreasing(requests)
 
     def deploy_region(
         self,
@@ -682,22 +676,21 @@ class ClusterScheduler:
     ) -> Deployment:
         """Place ``service`` as a region tenant on a shared ring.
 
-        First-fit: the first already-shared ring (in slot order) with a
+        First-fit: the first held ring (in slot order) with a
         large-enough free node run takes the claim; otherwise the first
         free ring opens as a new shared ring.  One claim per service
         per ring, so a service's replicas land on different rings.
         Raises :class:`InsufficientClusterCapacity` when no ring can
-        host the region, and :class:`PlacementFailed` (carrying the
-        region's nodes) when the chosen run fails to configure.
+        host the region, ``ValueError`` when a role image cannot fit
+        one node (both before the ledger changes), and
+        :class:`PlacementFailed` (carrying the region's nodes) when the
+        chosen run fails to configure.
         """
         chosen: RingSlot | None = None
-        tenancy: RingTenancy | None = None
-        node_count = 0
-        for slot in sorted(self._tenancies):
-            candidate = self._tenancies[slot]
-            count = region_node_count(service, fraction, len(candidate.ring_nodes))
-            if candidate.can_host(service.name, count):
-                chosen, tenancy, node_count = slot, candidate, count
+        for tenancy in self.tenancies():
+            count = region_node_count(service, fraction, len(tenancy.ring_nodes))
+            if tenancy.can_host(service.name, count):
+                chosen, node_count = tenancy.slot, count
                 break
         if chosen is None:
             free = self.free_slots()
@@ -707,45 +700,19 @@ class ClusterScheduler:
                     f"{service.name!r}"
                 )
             chosen = free[0]
-            ring_nodes = [
-                server.node_id
-                for server in self.datacenter.pod(chosen.pod_id).ring(chosen.ring_x)
-            ]
-            tenancy = RingTenancy(chosen, ring_nodes)
-            node_count = region_node_count(service, fraction, len(ring_nodes))
-            if node_count > len(ring_nodes):
+            ring_size = len(self._ring_nodes(chosen))
+            node_count = region_node_count(service, fraction, ring_size)
+            if node_count > ring_size:
                 raise InsufficientClusterCapacity(
                     f"service {service.name!r} needs {node_count} nodes, "
-                    f"rings have {len(ring_nodes)}"
+                    f"rings have {ring_size}"
                 )
-            self._tenancies[chosen] = tenancy
-        pod = self.datacenter.pod(chosen.pod_id)
-        check_region_fit(service, pod.server_at(tenancy.ring_nodes[0]).fpga.device)
-        claim = tenancy.claim(
+        check_region_fit(service, self.datacenter.ring_servers(chosen)[0].fpga.device)
+        claim = self._ledger_for(chosen).grant(
             service.name, fraction, priority, node_count, slots_per_server
         )
-        deployment = Deployment(
-            self.engine,
-            pod,
-            service,
-            ring_x=chosen.ring_x,
-            adapter=adapter,
-            mapping_manager=self.mapping_manager(chosen.pod_id),
-            slots_per_server=slots_per_server,
-            region=claim,
-        )
-        try:
-            deployment.deploy()
-        except (InsufficientRingCapacity, ReconfigError) as exc:
-            tenancy.release(claim)
-            if tenancy.empty:
-                del self._tenancies[chosen]
-            raise PlacementFailed(chosen, exc, nodes=claim.nodes) from exc
-        tenancy.occupants[service.name] = deployment
-        self.decisions.append(
-            PlacementDecision(
-                service=service.name, slot=chosen, spares=deployment.spare_count
-            )
+        (deployment,) = self._configure_slots(
+            service, [claim], adapter, slots_per_server
         )
         return deployment
 
@@ -754,14 +721,14 @@ class ClusterScheduler:
     ) -> Deployment | None:
         """A batch tenant whose eviction would make room for ``service``.
 
-        Scans shared rings in slot order; on each, batch-priority
-        claims in claim order.  Returns the first occupant whose region
-        plus the ring's current free run covers the needed node count —
-        or ``None`` when no eviction helps (the caller records a
-        shortfall instead of evicting pointlessly).
+        Scans held rings in slot order; on each, batch-priority claims
+        in claim order (dedicated claims are latency priority, so never
+        victims).  Returns the first occupant whose region plus the
+        ring's current free run covers the needed node count — or
+        ``None`` when no eviction helps (the caller records a shortfall
+        instead of evicting pointlessly).
         """
-        for slot in sorted(self._tenancies):
-            tenancy = self._tenancies[slot]
+        for tenancy in self.tenancies():
             if service.name in tenancy.claims:
                 continue
             needed = region_node_count(service, fraction, len(tenancy.ring_nodes))
@@ -769,57 +736,28 @@ class ClusterScheduler:
                 claim = tenancy.claims[name]
                 if claim.priority != "batch":
                     continue
-                occupant = tenancy.occupants.get(name)
-                if occupant is None:
-                    continue
                 if len(tenancy.free_nodes()) + len(claim.nodes) >= needed:
-                    return occupant
+                    return tenancy.occupants[name]
         return None
 
     def release(self, deployment: Deployment) -> RingSlot:
-        """Return a deployment's ring to the free pool (scale-down).
+        """Return a deployment's claim to the free pool (scale-down).
 
-        Deregisters the ring's assignment from the pod's mapping manager
-        so later failure reports no longer act on it, detaches the
-        service's roles from the surviving nodes (each reverts to the
-        service's passthrough spare, keeping the torus routable), and
-        marks the deployment released so stale handles can no longer
-        dispatch.  The freed slot is immediately redeployable — the next
-        deploy reconfigures the ring with the new service's images, with
-        any permanently failed hardware pre-mapped-out.
-
-        A region tenant's release frees only its claim: the tenancy
-        (and the ring) persists while other tenants or region cordons
-        remain.
+        Deregisters the claim's assignment from the pod's mapping
+        manager so later failure reports no longer act on it, detaches
+        the service's roles from the surviving nodes (each reverts to
+        the service's passthrough spare, keeping the torus routable),
+        returns any shared slot quota, and marks the deployment
+        released so stale handles can no longer dispatch.  The freed
+        nodes are immediately redeployable — the next deploy
+        reconfigures them with the new service's images, with any
+        permanently failed hardware pre-mapped-out.  A region tenant's
+        release frees only its claim: the ring stays held while other
+        tenants or cordons remain.
         """
-        region: RegionClaim | None = getattr(deployment, "region", None)
-        if region is not None:
-            return self._release_region(deployment, region)
         slot = self.slot_of(deployment)
-        del self._occupied[slot]
-        manager = deployment.mapping_manager
-        if deployment.assignment in manager.assignments:
-            manager.assignments.remove(deployment.assignment)
-        assignment = deployment.assignment
-        if assignment is not None:
-            spare = deployment.service.spare
-            for node in assignment.ring_nodes:
-                if node in assignment.excluded:
-                    continue
-                server = deployment.pod.server_at(node)
-                if server.fpga.state is FpgaState.CONFIGURED:
-                    server.shell.attach_role(spare.factory(assignment, spare.name))
-        deployment.released = True
-        return slot
-
-    def _release_region(
-        self, deployment: Deployment, region: RegionClaim
-    ) -> RingSlot:
-        tenancy = self._tenancies.get(region.slot)
-        if tenancy is None or tenancy.occupants.get(region.service) is not deployment:
-            raise KeyError(f"{deployment.name} is not placed by this scheduler")
-        del tenancy.occupants[region.service]
-        tenancy.release(region)
+        self._ledger[slot].release(deployment.claim)
+        self._prune(slot)
         manager = deployment.mapping_manager
         if deployment.assignment in manager.assignments:
             manager.assignments.remove(deployment.assignment)
@@ -834,9 +772,7 @@ class ClusterScheduler:
                     server.shell.attach_role(spare.factory(assignment, spare.name))
         deployment.release_slots()
         deployment.released = True
-        if tenancy.empty:
-            del self._tenancies[region.slot]
-        return region.slot
+        return slot
 
     def __repr__(self) -> str:
         report = self.capacity_report()

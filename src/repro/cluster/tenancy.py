@@ -1,25 +1,31 @@
-"""Ring tenancy: virtualized role regions on a shared ring.
+"""Ring tenancy: the per-ring placement ledger.
 
 The paper dedicates one 8-FPGA ring per service (§2.3); RC3E-style
 cloud provisioning instead hands *virtual* FPGA regions to multiple
 tenants, and Coyote raises the abstraction so several roles share one
-device.  This module is the middle ground the fabric supports today: a
-ring's nodes are carved into **regions** — contiguous runs of nodes in
-ring order — and several small services become co-resident tenants of
-one ring, each owning its region's nodes outright (one role per shell,
-so isolation is physical).
+device.  This module provisions both through one abstraction, the
+:class:`RegionClaim` — one service's grant of a run of a ring's nodes,
+in ring order:
 
-A :class:`RegionClaim` is one tenant's grant: its node run, its declared
-ring fraction, its priority class, and its *slot quota* — the weighted
-fair share of each injection server's 64 PCIe slots the tenant may hold
-concurrently.  Quotas are the dispatch-path isolation: co-resident
-tenants share the ring's servers, so without them one tenant's burst
-could occupy every slot and starve its neighbours.  Latency-class
-tenants weigh twice batch-class ones, and the weighted shares are
-normalised so they can never oversubscribe the pool.
+* a **dedicated** claim holds every node of its ring (a whole-ring
+  replica, or one member ring of a gang);
+* a **shared** claim holds a region — a contiguous run of nodes — so
+  several small services become co-resident tenants of one ring, each
+  owning its region's nodes outright (one role per shell, so isolation
+  is physical).
 
-:class:`RingTenancy` is a ring's occupancy ledger (claims, per-region
-cordons, free nodes); the scheduler keeps one per shared ring.  The
+A shared claim carries its declared ring fraction, its priority class,
+and its *slot quota* — the weighted fair share of each injection
+server's 64 PCIe slots the tenant may hold concurrently.  Quotas are
+the dispatch-path isolation: co-resident tenants share the ring's
+servers, so without them one tenant's burst could occupy every slot
+and starve its neighbours.  Latency-class tenants weigh twice
+batch-class ones, and the weighted shares are normalised so they can
+never oversubscribe the pool.
+
+:class:`RingTenancy` is one ring's ledger (claims, cordoned node runs,
+free nodes); the scheduler keeps one per ring that anything holds.  A
+whole-ring cordon is a cordon over every node of the ring.  The
 :func:`pack_first_fit_decreasing` planner bin-packs a set of region
 fractions onto the fewest rings — the classic FFD heuristic the
 scheduler's ``deploy_region`` first-fit realises when requests arrive
@@ -72,15 +78,6 @@ def slot_quota(fraction: float, priority: str, slots_per_server: int) -> int:
     return max(1, math.floor(slots_per_server * fraction * weight))
 
 
-def region_budget(service: ServiceDefinition) -> ResourceBudget:
-    """The service's total role demand (spare included: every region
-    node hosts either an active role or the spare image)."""
-    total = ResourceBudget()
-    for spec in service.roles:
-        total = total + spec.bitstream.role_budget
-    return total + service.spare.bitstream.role_budget
-
-
 def check_region_fit(service: ServiceDefinition, device) -> None:
     """Every role image must fit the per-node headroom beside the shell.
 
@@ -100,15 +97,20 @@ def check_region_fit(service: ServiceDefinition, device) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class RegionClaim:
-    """One tenant's grant of a region on a shared ring."""
+    """One service's grant of a run of a ring's nodes.
+
+    ``shared`` claims are region tenants; a dedicated claim
+    (:func:`dedicated_claim`) holds the whole ring.
+    """
 
     slot: RingSlot
     index: int  # claim ordinal on its ring (stable display/name key)
     service: str
     fraction: float
     priority: str
-    nodes: tuple  # NodeIds of the region, in ring order
+    nodes: tuple  # NodeIds of the claim, in ring order
     slot_quota: int  # concurrent PCIe slots per injection server
+    shared: bool = True
 
     def __str__(self) -> str:
         return (
@@ -117,15 +119,38 @@ class RegionClaim:
         )
 
 
+def dedicated_claim(
+    slot: RingSlot,
+    ring_nodes: collections.abc.Sequence[NodeId],
+    service_name: str,
+    slots_per_server: int,
+) -> RegionClaim:
+    """A whole ring held by one service: every node, in ring order.
+
+    Latency priority, so a dedicated ring is never a preemption victim;
+    its quota is the service's whole per-server slot count.
+    """
+    return RegionClaim(
+        slot=slot,
+        index=0,
+        service=service_name,
+        fraction=1.0,
+        priority="latency",
+        nodes=tuple(ring_nodes),
+        slot_quota=slots_per_server,
+        shared=False,
+    )
+
+
 class RingTenancy:
-    """Occupancy ledger of one shared ring: claims, cordons, free nodes."""
+    """Placement ledger of one ring: claims, cordons, free nodes."""
 
     def __init__(self, slot: RingSlot, ring_nodes: collections.abc.Sequence[NodeId]):
         self.slot = slot
         self.ring_nodes = list(ring_nodes)
         self.claims: dict[str, RegionClaim] = {}  # service name -> claim
         self.occupants: dict[str, object] = {}  # service name -> Deployment
-        self.cordoned: dict[tuple, str] = {}  # region nodes -> reason
+        self.cordoned: dict[tuple, str] = {}  # cordoned node run -> reason
         self._next_index = 0
 
     # -- node accounting ---------------------------------------------------------
@@ -150,6 +175,17 @@ class RingTenancy:
     def empty(self) -> bool:
         return not self.claims and not self.cordoned
 
+    @property
+    def whole_cordon(self) -> str | None:
+        """The reason for a cordon over every node of the ring, if any."""
+        return self.cordoned.get(tuple(self.ring_nodes))
+
+    @property
+    def region_cordons(self) -> int:
+        """Cordoned node runs short of the whole ring."""
+        whole = tuple(self.ring_nodes)
+        return sum(1 for nodes in self.cordoned if nodes != whole)
+
     # -- claims ------------------------------------------------------------------
 
     def can_host(self, service_name: str, node_count: int) -> bool:
@@ -163,7 +199,7 @@ class RingTenancy:
             return False
         return len(self.free_nodes()) >= node_count
 
-    def claim(
+    def grant(
         self,
         service_name: str,
         fraction: float,
@@ -171,36 +207,58 @@ class RingTenancy:
         node_count: int,
         slots_per_server: int,
     ) -> RegionClaim:
+        """Carve a shared claim from the first free nodes.
+
+        The claim is not held until :meth:`hold` — the scheduler holds
+        it once its region has configured — but it takes the next claim
+        ordinal either way, so a tenant's name is never reused on the
+        ring.
+        """
         if not self.can_host(service_name, node_count):
             raise ValueError(
                 f"{self.slot}: no region of {node_count} nodes for "
                 f"{service_name!r}"
             )
-        nodes = tuple(self.free_nodes()[:node_count])
         claim = RegionClaim(
             slot=self.slot,
             index=self._next_index,
             service=service_name,
             fraction=fraction,
             priority=priority,
-            nodes=nodes,
+            nodes=tuple(self.free_nodes()[:node_count]),
             slot_quota=slot_quota(fraction, priority, slots_per_server),
         )
         self._next_index += 1
-        self.claims[service_name] = claim
         return claim
+
+    def hold(self, claim: RegionClaim, occupant: object) -> None:
+        """Record ``claim`` as held by ``occupant`` (its Deployment)."""
+        if claim.service in self.claims or not set(claim.nodes) <= set(
+            self.free_nodes()
+        ):
+            raise ValueError(f"{self.slot}: cannot hold {claim}")
+        self.claims[claim.service] = claim
+        self.occupants[claim.service] = occupant
 
     def release(self, claim: RegionClaim) -> None:
         existing = self.claims.get(claim.service)
         if existing is not claim:
             raise KeyError(f"{claim} is not held on {self.slot}")
         del self.claims[claim.service]
+        del self.occupants[claim.service]
 
-    # -- per-region cordons ------------------------------------------------------
+    # -- cordons -----------------------------------------------------------------
 
     def cordon_region(self, nodes: collections.abc.Sequence[NodeId], reason: str = "") -> None:
-        """Hold a node run out of the free pool (bad hardware inside)."""
-        self.cordoned.setdefault(tuple(nodes), reason)
+        """Hold a node run out of the free pool (bad hardware inside).
+
+        The run is keyed in ring order, so a cordon over every node is
+        the whole-ring cordon however its nodes were listed.
+        """
+        run = set(nodes)
+        self.cordoned.setdefault(
+            tuple(node for node in self.ring_nodes if node in run), reason
+        )
 
     def clear_cordons(self) -> None:
         self.cordoned.clear()

@@ -243,14 +243,6 @@ class OpenLoopInjector:
     zero.  This replaces the old per-run children list + ``AllOf``
     barrier — O(1) memory per run instead of one list slot plus one
     condition callback per admitted arrival.
-
-    ``batch_window_ns`` (opt-in, default 0 = exact per-arrival timing)
-    coalesces admission: interarrival gaps are accumulated until the
-    window fills, then a *single* scheduler event drains the whole
-    batch of arrivals at once.  Latency for batched arrivals is
-    measured from the batch admission instant, so the window bounds
-    the timing distortion; the RNG draw sequence is identical either
-    way.
     """
 
     def __init__(
@@ -262,22 +254,18 @@ class OpenLoopInjector:
         max_queue_depth: int | None = None,
         timeout_ns: float = 5 * SEC,
         seed_tag: str = "openloop",
-        batch_window_ns: float = 0.0,
         fluid: bool | None = None,
     ):
         if not pool:
             raise ValueError("request pool must be non-empty")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"queue depth must be positive, got {max_queue_depth}")
-        if batch_window_ns < 0:
-            raise ValueError(f"batch window must be >= 0, got {batch_window_ns}")
         self.engine = engine
         self.sink = sink
         self.arrivals = arrivals
         self.pool = list(pool)
         self.max_queue_depth = max_queue_depth
         self.timeout_ns = timeout_ns
-        self.batch_window_ns = batch_window_ns
         self.stats = OpenLoopStats()
         self._rng = engine.rng.stream(f"openloop:{seed_tag}")
         self._pool_index = 0
@@ -285,11 +273,10 @@ class OpenLoopInjector:
         self._done: Event | None = None
         # -- fluid fast-forward (opt-in; see repro.sim.fluid) --
         # ``fluid=None`` follows the engine: enabled iff the engine was
-        # built with a coordinator.  Batched admission already trades
-        # exact timing for throughput; the two modes do not compose.
+        # built with a coordinator.
         if fluid is None:
             fluid = engine.fluid is not None
-        self._fluid = bool(fluid) and engine.fluid is not None and batch_window_ns == 0.0
+        self._fluid = bool(fluid) and engine.fluid is not None
         self._model = None  # persistent virtual queue across fluid windows
         if self._fluid:
             self._fluid_rng = engine.rng.stream(f"openloop:{seed_tag}:fluid")
@@ -326,7 +313,6 @@ class OpenLoopInjector:
         stats = self.stats
         sink = self.sink
         max_depth = self.max_queue_depth
-        batch_window = self.batch_window_ns
         rng = self._rng
         # Constant-rate fast path: precompute the exponential scale once
         # and draw straight from the hoisted ``expovariate`` instead of
@@ -342,36 +328,23 @@ class OpenLoopInjector:
         # schedule entries and RNG draws — same-seed runs are unchanged).
         gate = None
         while remaining:
-            # Accumulate gaps until the batch window fills (one draw —
-            # batch of one — when the window is 0, the exact pre-change
-            # per-arrival behavior).
             if scale is not None:
                 wait = expovariate(1.0) * scale
             else:
                 wait = interarrival(rng, engine.now)
-            batch = 1
-            while wait < batch_window and batch < remaining:
-                if scale is not None:
-                    gap = expovariate(1.0) * scale
-                else:
-                    gap = interarrival(rng, engine.now + wait)
-                wait += gap
-                batch += 1
             if gate is None:
                 gate = timeout(wait)
             else:
                 gate.rearm(wait)
             yield gate
-            remaining -= batch
-            now = engine.now
-            stats.offered += batch
-            for _ in range(batch):
-                if max_depth is not None and sink.outstanding >= max_depth:
-                    stats.rejected += 1
-                    continue
-                stats.admitted += 1
-                self._open += 1
-                spawn(self._handle(self._next_request(), now))
+            remaining -= 1
+            stats.offered += 1
+            if max_depth is not None and sink.outstanding >= max_depth:
+                stats.rejected += 1
+                continue
+            stats.admitted += 1
+            self._open += 1
+            spawn(self._handle(self._next_request(), engine.now))
         self._close_one()  # release the source's own count
 
     def _arrivals_body_fluid(self, count: int) -> collections.abc.Generator:

@@ -136,9 +136,9 @@ def test_capacity_report_and_release():
 
 
 def test_cordon_rejects_occupied_and_unknown_slots():
-    """Regression: cordoning an occupied ring would leave it in both
-    ``_occupied`` and the cordon set, double-subtracting from
-    ``free_rings``; an unknown slot is a caller bug either way."""
+    """Regression: cordoning an occupied ring would count it both
+    occupied and cordoned, double-subtracting from ``free_rings``; an
+    unknown slot is a caller bug either way."""
     _eng, dc = small_datacenter()
     scheduler = ClusterScheduler(dc)
     (deployment,) = scheduler.deploy(echo_service(), rings=1)

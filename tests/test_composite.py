@@ -162,7 +162,7 @@ def test_deploy_gang_is_all_or_nothing():
 
 def test_deploy_partial_failure_rolls_back_instead_of_leaking():
     """Regression: deploy() raising PlacementFailed after k successful
-    placements stranded those k deployments in ``_occupied`` without
+    placements stranded those k deployments in the scheduler without
     returning them — leaked capacity on every partial failure."""
     eng = Engine(seed=7)
     dc = Datacenter(eng, num_pods=1, topology=TorusTopology(width=3, height=3))

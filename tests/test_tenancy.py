@@ -10,6 +10,8 @@ repair, per-pod capacity invariants under churn, and the staging-DRAM
 cache that turns a re-placement into a model-reload-class operation.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -99,14 +101,18 @@ def test_pack_ffd_plans_minimal_rings():
 def test_ring_tenancy_claims_cordons_and_release():
     slot = RingSlot(0, 0)
     tenancy = RingTenancy(slot, ["n0", "n1", "n2", "n3"])
-    a = tenancy.claim("a", 0.5, "latency", 2, 48)
+    a = tenancy.grant("a", 0.5, "latency", 2, 48)
     assert a.nodes == ("n0", "n1")
+    tenancy.hold(a, "deployment-a")
     assert not tenancy.can_host("a", 1)  # one claim per service per ring
-    b = tenancy.claim("b", 0.5, "batch", 2, 48)
+    b = tenancy.grant("b", 0.5, "batch", 2, 48)
     assert b.nodes == ("n2", "n3")
+    tenancy.hold(b, "deployment-b")
     assert tenancy.free_nodes() == []
     with pytest.raises(ValueError):
-        tenancy.claim("c", 0.25, "batch", 1, 48)
+        tenancy.grant("c", 0.25, "batch", 1, 48)
+    with pytest.raises(ValueError):
+        tenancy.hold(a, "deployment-a")  # already held
     tenancy.release(b)
     tenancy.cordon_region(("n2",), "bad card")
     assert tenancy.free_nodes() == ["n3"]
@@ -181,7 +187,7 @@ def test_deploy_region_packs_two_tenants_per_ring():
     assert scheduler.slot_of(a) == scheduler.slot_of(b)
     tenancy = scheduler.tenancy_of(scheduler.slot_of(a))
     assert set(tenancy.claims) == {"a", "b"}
-    assert not set(a.region.nodes) & set(b.region.nodes)
+    assert not set(a.claim.nodes) & set(b.claim.nodes)
     report = scheduler.capacity_report()
     assert report.occupied_rings == 1
     assert report.tenant_regions == 2
@@ -226,6 +232,66 @@ def test_oversized_region_rejected():
     scheduler.deploy_region(echo_service("big2"), 1.0)
     with pytest.raises(InsufficientClusterCapacity):
         scheduler.deploy_region(echo_service("late"), 0.25)
+
+
+def oversized_service(name="huge"):
+    """An echo service whose active role cannot fit one node beside the
+    shell."""
+    from repro.hardware import Bitstream
+
+    svc = echo_service(name)
+    huge = Bitstream(
+        role_name="echo", role_budget=ResourceBudget(alms=10**9), clock_mhz=175.0
+    )
+    role = dataclasses.replace(svc.roles[0], bitstream=huge)
+    return dataclasses.replace(svc, roles=(role,))
+
+
+def test_rejected_region_placement_leaves_the_ledger_untouched():
+    """Regression: ``deploy_region`` opened a ledger for the chosen ring
+    before checking that the roles fit a node; the ``ValueError`` left
+    an empty ledger behind that counted the ring cordoned forever, with
+    no ticket to lift it."""
+    _eng, dc = make_dc()
+    scheduler = ClusterScheduler(dc)
+    with pytest.raises(ValueError):
+        scheduler.deploy_region(oversized_service(), 0.5)
+    report = scheduler.capacity_report()
+    assert (report.free_rings, report.cordoned_rings) == (dc.total_rings, 0)
+    assert scheduler.tenancies() == []
+    # Rejected on a ring that already hosts a tenant: the tenant's
+    # claim is all that ring holds, and the next tenant packs beside it.
+    first = scheduler.deploy_region(echo_service("first"), 0.5)
+    with pytest.raises(ValueError):
+        scheduler.deploy_region(oversized_service(), 0.5)
+    second = scheduler.deploy_region(echo_service("second"), 0.5)
+    assert scheduler.slot_of(second) == scheduler.slot_of(first)
+    assert scheduler.capacity_report().free_rings == dc.total_rings - 1
+
+
+def test_cordon_region_rejects_nodes_of_a_live_claim():
+    """Regression: ``cordon_region`` on a ring held whole left it both
+    occupied and cordoned — ``capacity_report()`` said occupied 0,
+    cordoned 1, while ``is_occupied`` said True."""
+    _eng, dc = make_dc()
+    scheduler = ClusterScheduler(dc)
+    (whole,) = scheduler.deploy(echo_service("whole"), rings=1)
+    slot = scheduler.slot_of(whole)
+    run = [server.node_id for server in dc.ring_servers(slot)][:2]
+    with pytest.raises(ValueError):
+        scheduler.cordon_region(slot, run, reason="bad run")
+    tenant = scheduler.deploy_region(echo_service("tenant"), 0.5)
+    with pytest.raises(ValueError):
+        scheduler.cordon_region(scheduler.slot_of(tenant), tenant.claim.nodes[:1])
+    report = scheduler.capacity_report()
+    assert (report.occupied_rings, report.cordoned_rings) == (2, 0)
+    assert report.cordoned_regions == 0
+    assert scheduler.is_occupied(slot)
+    # Released first, the same run cordons as callers always did.
+    scheduler.release(whole)
+    scheduler.cordon_region(slot, run, reason="bad run")
+    report = scheduler.capacity_report()
+    assert (report.cordoned_rings, report.cordoned_regions) == (1, 1)
 
 
 # --- capacity report: per-pod breakdown under churn ----------------------------------
@@ -301,7 +367,7 @@ def test_co_resident_tenants_share_servers_under_quota():
     d_bat = bat.deployments[0]
     assert manager.scheduler.slot_of(d_lat) == manager.scheduler.slot_of(d_bat)
     # Latency weighs twice batch at equal fractions.
-    assert d_lat.region.slot_quota == 2 * d_bat.region.slot_quota
+    assert d_lat.claim.slot_quota == 2 * d_bat.claim.slot_quota
 
     pool = [object() for _ in range(16)]
     done_lat = OpenLoopInjector(
@@ -321,7 +387,7 @@ def test_co_resident_tenants_share_servers_under_quota():
         bat_ids = [
             ids for srv, ids in d_bat._owned_slots if srv is server
         ]
-        assert len(lat_ids) == d_lat.region.slot_quota
+        assert len(lat_ids) == d_lat.claim.slot_quota
         for ids in bat_ids:
             assert not set(lat_ids) & set(ids)
 
@@ -358,7 +424,7 @@ def test_latency_preempts_batch_within_one_pass():
     assert manager.scheduler.slot_of(victim.deployments[0]) == spoiled
     # ...around the cordoned run, which stays held out...
     held = set(bad)
-    assert not held & set(victim.deployments[0].region.nodes)
+    assert not held & set(victim.deployments[0].claim.nodes)
     # ...and the co-resident latency tenant was never disturbed.
     assert keeper.deployments[0] is keeper_before
     assert keeper.status().ready_replicas == 1
