@@ -76,26 +76,23 @@ class LoadBalancer:
 
     def pick(self) -> Deployment:
         """Choose the ring for the next request under the active policy."""
-        healthy = [d for d in self.deployments if d.health_weight() > 0.0]
-        if not healthy:
+        # One health pass per pick: every policy reads these weights.
+        deployments = self.deployments
+        weights = [d.health_weight() for d in deployments]
+        if not any(weight > 0.0 for weight in weights):
             raise NoHealthyDeployment(f"{self.name}: no servable ring")
         if self.policy == "round_robin":
-            for _ in range(len(self.deployments)):
-                candidate = self.deployments[self._rr_index % len(self.deployments)]
+            # Some ring is healthy, so this scan ends within one lap.
+            count = len(deployments)
+            while True:
+                index = self._rr_index % count
                 self._rr_index += 1
-                if candidate.health_weight() > 0.0:
-                    return candidate
-            # `healthy` is non-empty, so the full scan must have found a
-            # ring; falling through to weighted-random would let a policy
-            # bug masquerade as load balancing.
-            raise AssertionError(
-                f"{self.name}: round_robin scanned {len(self.deployments)} "
-                "rings without finding the healthy one"
-            )
+                if weights[index] > 0.0:
+                    return deployments[index]
+        healthy = [d for d, w in zip(deployments, weights, strict=True) if w > 0.0]
         if self.policy == "least_outstanding":
             return min(healthy, key=lambda d: d.outstanding)
-        weights = [d.health_weight() for d in healthy]
-        return self._rng.choices(healthy, weights)[0]
+        return self._rng.choices(healthy, [w for w in weights if w > 0.0])[0]
 
     # -- dispatch ----------------------------------------------------------------
 

@@ -54,21 +54,20 @@ class FlightDataRecorder:
         self.capacity = capacity
         self.spill_to_dram = spill_to_dram
         self.dram_budget_entries = dram_budget_entries
-        self._events: deque[FdrEntry] = deque()
-        self._spilled: deque[FdrEntry] = deque()
+        # Bounded deques evict their oldest entry on append, in C: the
+        # recorder runs on every router hop.
+        self._events: deque[FdrEntry] = deque(maxlen=capacity)
+        self._spilled: deque[FdrEntry] = deque(maxlen=dram_budget_entries)
         self.power_on_checks: dict[str, bool] = {}
         self.total_recorded = 0
 
     def record(self, entry: FdrEntry) -> None:
         """Append an event, evicting (or spilling) the oldest when full."""
-        self._events.append(entry)
+        events = self._events
+        if self.spill_to_dram and len(events) == self.capacity:
+            self._spilled.append(events[0])  # about to be evicted
+        events.append(entry)
         self.total_recorded += 1
-        if len(self._events) > self.capacity:
-            evicted = self._events.popleft()
-            if self.spill_to_dram:
-                self._spilled.append(evicted)
-                if len(self._spilled) > self.dram_budget_entries:
-                    self._spilled.popleft()
 
     def record_power_on(self, check: str, ok: bool) -> None:
         """Record a power-on sequence check (SL3 lock, PLL, resets...)."""

@@ -55,7 +55,9 @@ class Packet:
     size_bytes: int
     payload: object = None
     trace_id: int = 0
-    injected_at_ns: float = 0.0
+    # Host stamp (a SlotLease stamps its request); None means unstamped,
+    # and PCIe DMA-in stamps the packet then.  0.0 is a real stamp (t=0).
+    injected_at_ns: float | None = None
     slot_id: int | None = None  # DMA slot for the eventual response
     hops: int = 0
     corrected_bit_errors: int = 0

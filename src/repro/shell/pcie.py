@@ -235,9 +235,8 @@ class PcieCore:
                     freed, slot.freed = slot.freed, None
                     freed.succeed()
                 self.stats.requests_dma_in += 1
-                packet.injected_at_ns = (
-                    packet.injected_at_ns or self.engine.now
-                )
+                if packet.injected_at_ns is None:
+                    packet.injected_at_ns = self.engine.now
                 put = self.router.submit(packet, Port.PCIE)
                 if put is not None:
                     yield put

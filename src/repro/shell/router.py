@@ -58,11 +58,13 @@ class Router:
         }
         self.dropped_no_route = 0
         self.forwarded = 0
-        # Hot-path precomputation: the port set is static, so the
-        # direction labels (36 combinations) and the queue-probe list
-        # are built once instead of per recorded hop.
+        # Hot-path per-port tables, keyed by the port's value string:
+        # ``Enum.__hash__`` runs in Python on 3.11, a str hashes in C
+        # (once, cached).  The direction labels (36 combinations) and
+        # the queue-probe list are built once instead of per hop.
+        self._queue_of = {port.value: store for port, store in self.output_queues.items()}
         self._directions = {
-            (a, b): f"{a.value}->{b.value}" for a in Port for b in Port
+            a.value: {b.value: f"{a.value}->{b.value}" for b in Port} for a in Port
         }
         self._queue_probe = [
             (port.value, store.items) for port, store in self.output_queues.items()
@@ -93,7 +95,7 @@ class Router:
         self.forwarded += 1
         packet.route.append(self.node_id)
         self._record(packet, in_port, out_port)
-        return self.output_queues[out_port].put(packet)
+        return self._queue_of[out_port._value_].put(packet)
 
     def _select_output(self, packet: Packet) -> Port | None:
         if packet.kind is PacketKind.GARBAGE:
@@ -110,19 +112,16 @@ class Router:
         return self.routing_table.get(packet.dst)
 
     def _record(self, packet: Packet, in_port: Port, out_port: Port) -> None:
-        lengths = []
-        for probe in self._queue_probe:
-            depth = len(probe[1])
-            if depth:
-                lengths.append((probe[0], depth))
+        # Positional FdrEntry fields; ``_value_`` is the plain attribute
+        # behind the (Python-level) ``Enum.value`` property.
         self.fdr.record(
             FdrEntry(
-                timestamp_ns=self.engine.now,
-                trace_id=packet.trace_id,
-                size_bytes=packet.size_bytes,
-                direction=self._directions[(in_port, out_port)],
-                kind=packet.kind.value,
-                queue_lengths=tuple(lengths),
+                self.engine.now,
+                packet.trace_id,
+                packet.size_bytes,
+                self._directions[in_port._value_][out_port._value_],
+                packet.kind._value_,
+                tuple([(name, len(items)) for name, items in self._queue_probe if items]),
             )
         )
 

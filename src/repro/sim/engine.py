@@ -8,8 +8,8 @@ The queue is three-tiered for per-event cost (the ceiling on
 million-arrival experiments):
 
 * a FIFO **ready deque** for already-triggered events dispatching at the
-  current instant (the majority: every ``succeed()``/``fail()``) — O(1)
-  instead of a heap push;
+  current instant (every ``fail()``, and every ``succeed()`` of an event
+  that already has a waiter) — O(1) instead of a heap push;
 * a binary **heap** for near deadlines;
 * a banded **timer wheel** for far deadlines (coarse time bands, one
   list per band, flushed into the heap when the clock approaches the
@@ -22,6 +22,11 @@ million-arrival experiments):
 All three tiers dispatch in strict global ``(time, seq)`` order, so the
 event order is bit-identical to a single-heap engine
 (``timer_wheel=False`` keeps the heap-only arrangement for A/B tests).
+
+An event that succeeds with no waiter skips the tiers altogether: a
+store put with room, a free resource grant, a process end nobody joins.
+It completes inline (:meth:`Engine._complete_inline`), and a process
+that then yields it continues without a round trip through the queue.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ class Engine:
         assert proc.value == "done"
 
     Diagnostics: :attr:`events_dispatched` counts dispatched events,
+    :attr:`events_inlined` how many of them completed inline (triggered
+    with no waiter, so they never entered a queue tier),
     :attr:`events_dropped` counts cancelled entries that were dropped
     without dispatch (lazy deletion), and :attr:`peak_queue_length`
     tracks the high-water mark of pending entries across all tiers.
@@ -126,6 +133,7 @@ class Engine:
         self._nondaemon_pending = 0
         self._pending = 0  # entries across all tiers
         self.events_dispatched = 0
+        self.events_inlined = 0  # dispatched in place, never queued
         self.events_dropped = 0
         self.peak_queue_length = 0
         # -- timer wheel (far deadlines, banded) --
@@ -200,6 +208,24 @@ class Engine:
             heapq.heappush(self._queue, (self.now, self._seq ^ self._tie_salt, event))
         else:
             self._ready.append((self.now, self._seq, event))
+
+    def _complete_inline(self, event: Event) -> None:
+        """Dispatch a just-triggered event that has no waiter, in place.
+
+        Queueing it would only run an empty callback list later at this
+        same instant, so it completes now.  It still consumes a sequence
+        number and counts as dispatched (and is shown to the sanitizer),
+        so ``_seq`` and ``events_dispatched`` are what the queued path
+        gives; it never enters a queue tier, so it never counts in
+        ``queue_length``/``peak_queue_length``.  It applies with or
+        without a tie-break salt.
+        """
+        self._seq += 1
+        if self.sanitizer is not None:
+            self.sanitizer.on_dispatch(self.now, event)
+        self.events_dispatched += 1
+        self.events_inlined += 1
+        event._dispatched = True
 
     def _note_cancel(self) -> None:
         """Record a cancellation; compact the queue when dead weight wins.

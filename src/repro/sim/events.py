@@ -96,12 +96,21 @@ class Event:
     # -- triggering ----------------------------------------------------
 
     def succeed(self, value: object = None) -> "Event":
-        """Trigger the event successfully, delivering ``value``."""
+        """Trigger the event successfully, delivering ``value``.
+
+        An event nobody waits on yet completes inline: queueing it would
+        only dispatch an empty callback list later at this same instant.
+        A waiter that arrives afterwards resumes at once (it is already
+        dispatched).  Events with waiters keep the queued path.
+        """
         if self.triggered:
             raise RuntimeError(f"event {self!r} already triggered")
         self.triggered = True
         self._value = value
-        self.engine._schedule_trigger(self)
+        if self.callbacks is None:
+            self.engine._complete_inline(self)
+        else:
+            self.engine._schedule_trigger(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":

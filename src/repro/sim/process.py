@@ -66,25 +66,32 @@ class Process(Event):
         if self._waiting_on is not None and event is not self._waiting_on:
             return  # superseded by an interrupt; ignore the old event
         self._waiting_on = None
-        try:
-            exception = event._exception
-            if exception is None:
-                target = self.generator.send(event._value)
-            else:
-                target = self.generator.throw(exception)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            if not self.callbacks and not isinstance(exc, ProcessKilled):
-                # Nobody is joining this process: surface the crash loudly
-                # rather than failing an event no-one observes.
-                raise
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self.generator.close()
-            raise TypeError(f"process {self.name!r} yielded non-event {target!r}")
+        generator = self.generator
+        # An already-dispatched target (e.g. a put that completed inline)
+        # resumes the generator straight away, without a queue round trip.
+        while True:
+            try:
+                exception = event._exception
+                if exception is None:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(exception)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                if not self.callbacks and not isinstance(exc, ProcessKilled):
+                    # Nobody is joining this process: surface the crash
+                    # loudly rather than failing an event no-one observes.
+                    raise
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                generator.close()
+                raise TypeError(f"process {self.name!r} yielded non-event {target!r}")
+            if not target._dispatched:
+                break
+            event = target
         if self.daemon and not target.triggered:
             self.engine.mark_daemon(target)
         self._waiting_on = target

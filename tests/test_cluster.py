@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    BALANCING_POLICIES,
     ClusterScheduler,
     Deployment,
     InsufficientClusterCapacity,
@@ -322,6 +323,39 @@ def test_weighted_health_prefers_healthy():
 def test_no_healthy_deployment_raises():
     eng = Engine()
     balancer = LoadBalancer(eng, [StubDeployment("a", weight=0.0)])
+    with pytest.raises(NoHealthyDeployment):
+        balancer.pick()
+
+
+class CountingDeployment(StubDeployment):
+    def __init__(self, name, outstanding=0, weight=1.0):
+        super().__init__(name, outstanding, weight)
+        self.health_calls = 0
+
+    def health_weight(self):
+        self.health_calls += 1
+        return super().health_weight()
+
+
+@pytest.mark.parametrize("policy", BALANCING_POLICIES)
+def test_pick_reads_each_ring_health_once(policy):
+    eng = Engine(seed=3)
+    rings = [
+        CountingDeployment("a"),
+        CountingDeployment("b", weight=0.0),
+        CountingDeployment("c", outstanding=2),
+    ]
+    balancer = LoadBalancer(eng, rings, policy=policy)
+    picks = [balancer.pick().name for _ in range(6)]
+    assert "b" not in picks
+    assert [ring.health_calls for ring in rings] == [6, 6, 6]
+
+
+@pytest.mark.parametrize("policy", BALANCING_POLICIES)
+def test_no_healthy_ring_raises_under_every_policy(policy):
+    eng = Engine()
+    rings = [StubDeployment(name, weight=0.0) for name in "abc"]
+    balancer = LoadBalancer(eng, rings, policy=policy)
     with pytest.raises(NoHealthyDeployment):
         balancer.pick()
 

@@ -23,6 +23,7 @@ from repro.cluster import (
     ClusterScheduler,
     CompositeDeployment,
     LoadBalancer,
+    NoHealthyDeployment,
     PlacementFailed,
     RingSlot,
     ServiceSpec,
@@ -618,10 +619,10 @@ def test_contended_lease_deadline_disarmed_after_grant():
 # --- round-robin fall-through (satellite) -------------------------------------------
 
 
-def test_round_robin_fallthrough_is_loud():
-    """A ring whose health flips between the healthy filter and the
-    scan exposes the old silent fall-through into weighted-random; it
-    must raise instead."""
+def test_round_robin_reads_health_once_per_pick():
+    """A ring whose health flips between two reads cannot split a pick:
+    the healthy check and the round-robin scan share one health pass,
+    so the scan never falls through (into weighted-random, or at all)."""
 
     class FlappingRing:
         name = "flapping"
@@ -638,9 +639,12 @@ def test_round_robin_fallthrough_is_loud():
             return 1.0 if self.calls == 1 else 0.0
 
     eng = Engine(seed=1)
-    balancer = LoadBalancer(eng, [FlappingRing()], policy="round_robin")
-    with pytest.raises(AssertionError):
-        balancer.pick()
+    ring = FlappingRing()
+    balancer = LoadBalancer(eng, [ring], policy="round_robin")
+    assert balancer.pick() is ring
+    assert ring.calls == 1
+    with pytest.raises(NoHealthyDeployment):
+        balancer.pick()  # the second read reports the ring unhealthy
 
 
 # --- release-then-redeploy by a different composite (satellite) ---------------------

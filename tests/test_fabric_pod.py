@@ -231,6 +231,31 @@ def test_pod_end_to_end_request_response():
     assert client.latencies_ns and client.latencies_ns[0] < 100 * US
 
 
+def _echo_latency_ns(start_ns):
+    """Latency of one 4 KiB echo request to (2, 3), issued at ``start_ns``."""
+    eng = Engine(seed=7)
+    pod = Pod(eng, topology=TorusTopology(width=3, height=4))
+    pod.release_all_rx_halts()
+    pod.server_at((2, 3)).shell.attach_role(EchoRole())
+    client = SlotClient(pod.server_at((0, 0)))
+    lease = client.lease()
+
+    def thread(eng):
+        if start_ns:
+            yield eng.timeout(start_ns)
+        yield from lease.request(dst=(2, 3), size_bytes=4096)
+
+    eng.process(thread(eng))
+    eng.run()
+    return client.latencies_ns[0]
+
+
+def test_request_issued_at_time_zero_counts_its_dma_in():
+    # The host stamp 0.0 is a real stamp: DMA-in must not replace it
+    # with its own completion time and drop the transfer from latency.
+    assert _echo_latency_ns(0.0) == pytest.approx(_echo_latency_ns(1.0), abs=1e-6)
+
+
 def test_pod_rx_halt_blocks_until_release():
     eng = Engine(seed=7)
     pod = Pod(eng, topology=TorusTopology(width=3, height=4))

@@ -463,7 +463,10 @@ def test_slab_refuses_to_recycle_scheduled_event():
     engine = Engine(seed=0)
     slab = Slab.for_events(engine)
     event = slab.acquire()
-    event.succeed("x")  # scheduled but not yet dispatched
+    # A waiter makes succeed() queue the event (an unwaited event would
+    # complete inline): scheduled but not yet dispatched.
+    event.add_callback(lambda _event: None)
+    event.succeed("x")
     with pytest.raises(SlabError):
         slab.release(event)
 
@@ -496,6 +499,7 @@ def test_slab_violation_is_a_sanitizer_finding():
     engine = Engine(seed=0, sanitize=True)
     slab = Slab.for_events(engine)
     event = slab.acquire()
+    event.add_callback(lambda _event: None)  # queued, not completed inline
     event.succeed("x")
     with pytest.raises(SlabError):
         slab.release(event)

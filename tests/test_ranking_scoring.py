@@ -148,6 +148,35 @@ def test_engine_bank_partials_match_full_score():
     assert partials == pytest.approx(engine.score(request.document, model))
 
 
+def test_engine_bank_partial_cached_and_bit_identical(monkeypatch):
+    model = small_model()
+    engine = ScoringEngine(ModelLibrary([model]))
+    generator = TraceGenerator(seed=7)
+    *documents, unseen = [generator.request().document for _ in range(4)]
+    assert len({d.doc_id for d in documents + [unseen]}) == 4
+    first = [[engine.bank_partial(d, model, b) for b in range(3)] for d in documents]
+    for document, partials in zip(documents, first, strict=True):
+        fresh = ScoringEngine(ModelLibrary([model]))
+        packed = fresh.packed(document, model)
+        for bank, partial in enumerate(partials):
+            expected = model.scorer.evaluate_bank(bank, packed)
+            assert partial.hex() == expected.hex()  # bit-identical
+
+    evaluated = []
+    evaluate_bank = type(model.scorer).evaluate_bank
+
+    def counting(scorer, bank, packed):
+        evaluated.append(bank)
+        return evaluate_bank(scorer, bank, packed)
+
+    monkeypatch.setattr(type(model.scorer), "evaluate_bank", counting)
+    again = [[engine.bank_partial(d, model, b) for b in range(3)] for d in documents]
+    assert again == first
+    assert evaluated == []  # every repeat answered from the cache
+    engine.bank_partial(unseen, model, 1)
+    assert evaluated == [1]  # a new document is evaluated
+
+
 def test_engine_ffe_cycles_cached_and_positive():
     model = small_model()
     engine = ScoringEngine(ModelLibrary([model]))

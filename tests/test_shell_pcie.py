@@ -45,6 +45,24 @@ def test_dma_latency_under_10us_for_16kb():
     assert eng.now <= PCIE_DMA_LATENCY_TARGET_NS  # §3.1 design goal
 
 
+def test_dma_in_stamps_only_unstamped_packets():
+    eng = Engine()
+    router, buffers, pcie = setup_pcie(eng)
+    stamped_at_zero = request()
+    stamped_at_zero.injected_at_ns = 0.0  # a host stamp taken at t=0
+    unstamped = request()
+
+    def host(eng, buffers):
+        yield buffers.fill_input(0, stamped_at_zero)
+        yield buffers.fill_input(1, unstamped)
+
+    eng.process(host(eng, buffers))
+    eng.run()
+    assert pcie.stats.requests_dma_in == 2
+    assert stamped_at_zero.injected_at_ns == 0.0
+    assert unstamped.injected_at_ns is not None and unstamped.injected_at_ns > 0.0
+
+
 def test_oversized_payload_rejected():
     eng = Engine()
     _router, buffers, _pcie = setup_pcie(eng)

@@ -77,6 +77,52 @@ def test_packet_route_tracks_nodes():
     assert pkt.route == [(2, 3)]
 
 
+def test_fdr_stream_matches_keyword_built_entries():
+    """Router._record's positional entries equal the keyword-built ones
+    (labels from the ports, queue depths of non-empty queues only) over
+    a fixed scenario with eviction and queues filling up."""
+    eng = Engine()
+    router = Router(eng, node_id=(1, 1), fdr=FlightDataRecorder(capacity=8))
+    router.set_routes({(2, 1): Port.EAST, (0, 1): Port.WEST, (1, 0): Port.NORTH})
+    hops = [
+        (packet(dst=(2, 1), size=64), Port.PCIE),
+        (packet(dst=(1, 1), size=128), Port.WEST),
+        (packet(kind=PacketKind.RESPONSE, dst=(1, 1), size=16), Port.EAST),
+        (packet(kind=PacketKind.MODEL_RELOAD, dst=(0, 1), size=256), Port.ROLE),
+        (packet(dst=(1, 0), size=32), Port.SOUTH),
+        (packet(kind=PacketKind.GARBAGE, dst=(9, 9), size=8), Port.NORTH),
+    ] * 3
+    expected = []
+
+    def inject(eng):
+        for i, (pkt, in_port) in enumerate(hops):
+            yield eng.timeout(10.0 * i)
+            out_port = router._select_output(pkt)
+            expected.append(
+                FdrEntry(
+                    timestamp_ns=eng.now,
+                    trace_id=pkt.trace_id,
+                    size_bytes=pkt.size_bytes,
+                    direction=f"{in_port.value}->{out_port.value}",
+                    kind=pkt.kind.value,
+                    queue_lengths=tuple(
+                        (port.value, len(store))
+                        for port, store in router.output_queues.items()
+                        if len(store)
+                    ),
+                )
+            )
+            put = router.submit(pkt, in_port)
+            if put is not None:
+                yield put
+
+    eng.process(inject(eng))
+    eng.run()
+    assert router.fdr.total_recorded == len(hops)
+    assert router.fdr.stream_out() == expected[-8:]
+    assert expected[-1].queue_lengths  # the queues did fill up
+
+
 # --- FDR ----------------------------------------------------------------------
 
 
