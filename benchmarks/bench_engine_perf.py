@@ -19,7 +19,7 @@ keep the discrete hot path lean:
   still references.
 
 The same scenario also runs in **fluid fast-forward** mode
-(``Engine(fluid=True)`` + ``OpenLoopInjector(fluid=True)``): steady
+(``Engine(fluid=True)``; the injector follows its engine): steady
 stretches are credited analytically through a virtual M/D/c queue and
 the clock jumps across each window in a single event.  Same seed, same
 counters, a tiny fraction of the events — the fluid figure of merit is
@@ -161,7 +161,6 @@ def run_scenario(arrivals: int, fluid: bool = False) -> dict:
         pool,
         max_queue_depth=MAX_QUEUE_DEPTH,
         timeout_ns=REQUEST_TIMEOUT_NS,
-        fluid=fluid,
     )
     # simlint: allow-wall-clock -- this benchmark measures the host
     # wall-clock cost of running the simulator itself.
@@ -277,11 +276,7 @@ def payload(results: dict) -> dict:
 def _load_committed() -> dict | None:
     if not RESULT_PATH.exists():
         return None
-    committed = json.loads(RESULT_PATH.read_text())
-    if "result" in committed and "discrete" not in committed:
-        # Pre-fluid schema: a single discrete measurement under "result".
-        return {"discrete": committed["result"]}
-    return committed
+    return json.loads(RESULT_PATH.read_text())
 
 
 def test_engine_perf_smoke(record):

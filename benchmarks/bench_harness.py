@@ -7,7 +7,10 @@ baseline equivalents — the methodology of §5.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import pathlib
+import tempfile
 
 from repro.analysis import LatencyStats, ReservoirSample
 from repro.fabric import Pod, TorusTopology
@@ -34,6 +37,27 @@ from repro.sim.units import SEC
 SOFTWARE_SATURATION_PER_S = 7_200.0
 FPGA_PER_SERVER_SATURATION_PER_S = 9_600.0
 RATE_ONE_PER_S = 2_600.0
+
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+@functools.cache
+def _smoke_results() -> tempfile.TemporaryDirectory:
+    return tempfile.TemporaryDirectory(prefix="bench-smoke-")
+
+
+def results_dir(smoke: bool) -> pathlib.Path:
+    """Where a benchmark writes its tables and series.
+
+    A full run writes the committed ``benchmarks/results/``.  A smoke
+    run (the reduced CI configuration) writes one temporary directory
+    per process, removed at exit, so its reduced-scale output never
+    overwrites a committed artifact.
+    """
+    if smoke:
+        return pathlib.Path(_smoke_results().name)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    return RESULTS_DIR
 
 
 def build_ring(

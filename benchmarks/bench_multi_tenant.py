@@ -25,13 +25,14 @@ cache
     hit/miss counters in CapacityReport attribute the speedup.
 
 Set ``BENCH_SMOKE=1`` (or pass ``--smoke``) for the reduced CI
-configuration.
+configuration; its table and JSON go to a temporary directory, not over
+the committed full-run artifacts.
 """
 
 import json
 import os
-import pathlib
 
+from bench_harness import results_dir
 from repro.analysis import format_table
 from repro.cluster import (
     BitstreamCache,
@@ -51,7 +52,6 @@ SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
 ARRIVALS = 150 if SMOKE else 600  # per tenant
 RATE_PER_S = 40_000.0  # per tenant
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def make_dc(seed, width=2, height=8):
@@ -271,8 +271,7 @@ def check(r: dict) -> None:
 
 
 def write_json(r: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "multi_tenant.json").write_text(
+    (results_dir(SMOKE) / "multi_tenant.json").write_text(
         json.dumps(r, indent=2, sort_keys=True) + "\n"
     )
 

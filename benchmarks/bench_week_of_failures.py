@@ -33,14 +33,15 @@ Time is compressed: one "day" is 1.5 simulated seconds (the quantities
 under test — cordon, ticket timer, reconfigure ~1 s, re-place — do not
 change with the day length, only the event count does).  Set
 ``BENCH_SMOKE=1`` (or pass ``--smoke``) for the reduced CI
-configuration.
+configuration; its series, tables and JSON go to a temporary directory,
+not over the committed full-run artifacts.
 """
 
 import json
 import os
-import pathlib
 import time
 
+from bench_harness import results_dir
 from repro.analysis import format_table
 from repro.cluster import (
     ClusterFailureInjector,
@@ -71,13 +72,11 @@ UPGRADE_DAY = 1 if SMOKE else 3  # roll the new image midweek
 WATCHDOG_PERIOD_NS = 0.15 * SEC
 REQUEST_TIMEOUT_NS = 40 * MS
 SAMPLE_NS = 50 * MS
-METRICS_PATH = pathlib.Path(__file__).parent / "results" / (
-    "week_of_failures_metrics.jsonl"
-)
+METRICS_NAME = "week_of_failures_metrics.jsonl"
 # The fluid run exports its own series (the discrete series above is a
 # committed artifact) and the mode comparison lands next to it.
-FLUID_METRICS_PATH = METRICS_PATH.with_name("week_of_failures_metrics_fluid.jsonl")
-FLUID_RESULT_PATH = METRICS_PATH.with_name("week_of_failures_fluid.json")
+FLUID_METRICS_NAME = "week_of_failures_metrics_fluid.jsonl"
+FLUID_RESULT_NAME = "week_of_failures_fluid.json"
 
 
 def capacity_fraction_of(capacity: dict) -> float:
@@ -135,7 +134,9 @@ def run_week(fluid: bool = False) -> dict:
     # Observability is *exported*: the registry samples every SAMPLE_NS
     # of simulated time into the committed JSON-lines series that the
     # analysis below (and any dashboard) reads back.
-    metrics_path = FLUID_METRICS_PATH if fluid else METRICS_PATH
+    metrics_path = results_dir(SMOKE) / (
+        FLUID_METRICS_NAME if fluid else METRICS_NAME
+    )
     metrics = MetricsRegistry(manager, path=metrics_path)
     metrics.attach_workload(SERVICE, traffic)
     metrics.start(SAMPLE_NS)
@@ -351,7 +352,7 @@ def test_week_of_failures_heals_without_operator(benchmark, record):
          f"{r['upgrade']['start_s']:.2f}s-{r['upgrade']['end_s']:.2f}s"),
         ("admitted during upgrade roll", f"{r['upgrade']['admitted']:,}"),
         ("completed during upgrade roll", f"{r['upgrade']['completed']:,}"),
-        ("metrics series (snapshots)", f"{len(series)} -> {METRICS_PATH.name}"),
+        ("metrics series (snapshots)", f"{len(series)} -> {METRICS_NAME}"),
     ]
     table = format_table(
         ["quantity", "value"],
@@ -439,7 +440,8 @@ if __name__ == "__main__":
         discrete = run_week(fluid=False)
         fluid = run_week(fluid=True)
         report = compare_modes(discrete, fluid)
-        FLUID_RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+        result_path = results_dir(SMOKE) / FLUID_RESULT_NAME
+        result_path.write_text(json.dumps(report, indent=2) + "\n")
         deltas = report["deltas"]
         print(
             f"discrete wall={report['discrete']['wall_s']}s "
@@ -453,7 +455,7 @@ if __name__ == "__main__":
             f"capacity_final={deltas['capacity_final_rel']} "
             f"p99={deltas['p99_rel']}"
         )
-        print(f"wrote {FLUID_RESULT_PATH}")
+        print(f"wrote {result_path}")
         raise SystemExit(0)
     r = run_week()
     stats = r["stats"]

@@ -2,14 +2,18 @@
 
 Every benchmark writes its paper-style table/series into
 ``benchmarks/results/<name>.txt`` (and prints it, visible with ``-s``),
-so the regenerated rows survive the pytest run.
+so the regenerated rows survive the pytest run.  Under ``BENCH_SMOKE``
+the reduced-configuration tables go to a temporary directory instead,
+leaving the committed full-run tables untouched.
 """
 
-import pathlib
+import os
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from bench_harness import results_dir
+
+SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
 
 @pytest.fixture
@@ -17,8 +21,7 @@ def record():
     """Persist (and print) one benchmark's output table."""
 
     def _record(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (results_dir(SMOKE) / f"{name}.txt").write_text(text + "\n")
         print("\n" + text)
 
     return _record

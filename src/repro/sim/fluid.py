@@ -16,12 +16,13 @@ Three pieces cooperate:
 :class:`FluidCoordinator`
     Owned by the engine (``Engine(fluid=True)``).  Transient sources —
     repair queues, failure injectors, watchdog periods, metrics
-    sampling ticks, arrival-regime edges — register here, and anything
-    that mutates cluster state calls :meth:`FluidCoordinator
-    .note_transient`.  :meth:`FluidCoordinator.window_end` answers the
-    one question a fluid traffic source asks: *how far may simulated
-    time advance analytically from ``now`` before something discrete
-    must be simulated exactly?*  Guarded (state-changing) sources end
+    sampling ticks, arrival processes (their rate edges) — register
+    here, and anything that mutates cluster state calls
+    :meth:`FluidCoordinator.note_transient`.
+    :meth:`FluidCoordinator.window_end` answers the one question a
+    fluid traffic source asks: *how far may simulated time advance
+    analytically from ``now`` before something discrete must be
+    simulated exactly?*  Guarded (state-changing) sources end
     the window ``guard_ns`` early, so the discrete engine is warm —
     in-flight requests rebuilt, queues repopulated — before the
     transient fires; after any noted transient, fluid stays disengaged
@@ -59,16 +60,6 @@ import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
-
-# Defaults, overridable per coordinator.  The guard must exceed the
-# sink's worst-case sojourn so the discrete warm-up rebuilds in-flight
-# state before a scheduled transient fires; the warm-up keeps fluid
-# disengaged after a transient long enough for dips to resolve
-# discretely; the minimum window keeps fluid from thrashing on windows
-# too short to amortize the step.
-DEFAULT_GUARD_NS = 5_000_000.0  # 5 ms
-DEFAULT_WARMUP_NS = 5_000_000.0  # 5 ms
-DEFAULT_MIN_WINDOW_NS = 1_000_000.0  # 1 ms
 
 
 class TransientSource(typing.Protocol):  # pragma: no cover - typing aid
@@ -168,10 +159,10 @@ class FluidProfile:
 class FluidWindow:
     """One analytic interval, reported to the sink for reconciliation.
 
-    Latencies are carried as a sum plus a bounded stride sample — a
-    window can cover millions of arrivals, and the sink's reservoir is
-    reconciled analytically (see ``ReservoirSample.merge_analytic``)
-    rather than replayed value by value.
+    Latencies are carried as a sum — a window can cover millions of
+    arrivals, and the sink's reservoir is reconciled analytically (see
+    ``ReservoirSample.merge_analytic``) rather than replayed value by
+    value.
     """
 
     start_ns: float
@@ -182,7 +173,6 @@ class FluidWindow:
     completed: int
     timeouts: int = 0
     latency_sum_ns: float = 0.0
-    latency_sample_ns: tuple[float, ...] = ()
 
     @property
     def mean_latency_ns(self) -> float:
@@ -264,20 +254,17 @@ class FluidCoordinator:
     registered traffic source changes nothing.
     """
 
-    def __init__(
-        self,
-        engine: "Engine",
-        guard_ns: float = DEFAULT_GUARD_NS,
-        warmup_ns: float = DEFAULT_WARMUP_NS,
-        min_window_ns: float = DEFAULT_MIN_WINDOW_NS,
-    ):
-        if guard_ns < 0 or warmup_ns < 0 or min_window_ns < 0:
-            raise ValueError("guard/warmup/min-window must be >= 0")
+    def __init__(self, engine: "Engine"):
         self.engine = engine
-        self.enabled = True
-        self.guard_ns = guard_ns
-        self.warmup_ns = warmup_ns
-        self.min_window_ns = min_window_ns
+        # The guard must exceed the sink's worst-case sojourn so the
+        # discrete warm-up rebuilds in-flight state before a scheduled
+        # transient fires; the warm-up keeps fluid disengaged after a
+        # transient long enough for dips to resolve discretely; the
+        # minimum window keeps fluid from thrashing on windows too short
+        # to amortize the step.
+        self.guard_ns = 5_000_000.0  # 5 ms
+        self.warmup_ns = 5_000_000.0  # 5 ms
+        self.min_window_ns = 1_000_000.0  # 1 ms
         # (source, guarded) pairs: guarded sources get the guard lead so
         # discrete simulation is warm before their transient fires;
         # observers (samplers, watchdog ticks) bound the window exactly.
@@ -320,14 +307,14 @@ class FluidCoordinator:
     def window_end(self, now_ns: float) -> float:
         """Furthest instant fluid may advance to from ``now``.
 
-        Returns ``now`` (no window) while disabled or inside a
-        post-transient warm-up.  Otherwise the minimum over every
-        registered source's next transient (guarded sources minus the
-        guard lead) and the engine's current ``run(until=...)``
-        deadline — external drivers may mutate state the moment a
-        bounded run returns, so no window ever overshoots one.
+        Returns ``now`` (no window) inside a post-transient warm-up.
+        Otherwise the minimum over every registered source's next
+        transient (guarded sources minus the guard lead) and the
+        engine's current ``run(until=...)`` deadline — external drivers
+        may mutate state the moment a bounded run returns, so no window
+        ever overshoots one.
         """
-        if not self.enabled or now_ns < self._discrete_until:
+        if now_ns < self._discrete_until:
             return now_ns
         end = self.engine.run_deadline_ns
         for source, guarded in self._sources:
@@ -338,10 +325,14 @@ class FluidCoordinator:
                 end = when
         return end if end > now_ns else now_ns
 
-    def usable_window(self, now_ns: float) -> float:
-        """``window_end`` if the window clears the minimum width, else
-        ``now`` — the caller-facing gate."""
+    def usable_window(self, now_ns: float, limit_ns: float) -> float:
+        """``window_end``, cut at ``limit_ns``, if that window clears the
+        minimum width, else ``now`` — the caller-facing gate.  The limit
+        is the caller's own bound (a slowly varying arrival rate's
+        horizon), which no other traffic source shares."""
         end = self.window_end(now_ns)
+        if limit_ns < end:
+            end = limit_ns
         if end - now_ns < self.min_window_ns:
             return now_ns
         return end

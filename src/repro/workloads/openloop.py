@@ -63,11 +63,14 @@ class ArrivalProcess:
             raise ValueError(f"arrival rate must be positive, got {rate}")
         return rng.expovariate(1.0) * (SEC / rate)
 
-    def next_regime_edge_ns(self, now_ns: float) -> float:
+    def next_transient_ns(self, now_ns: float) -> float:
         """Next instant the rate changes *discontinuously* (``inf`` if
-        never).  Fluid fast-forward windows never span an edge: the
-        queue dynamics around a square-wave burst onset are exactly the
-        transients the hybrid mode must simulate discretely."""
+        never).  An arrival process is a
+        :class:`~repro.sim.fluid.TransientSource`: the injector registers
+        it with the engine's fluid coordinator, so fluid fast-forward
+        windows never span an edge — the queue dynamics around a
+        square-wave burst onset are exactly the transients the hybrid
+        mode must simulate discretely."""
         return math.inf
 
     def fluid_horizon_ns(self, now_ns: float, rel_tol: float = 0.05) -> float:
@@ -119,7 +122,7 @@ class BurstyArrivals(ArrivalProcess):
         phase = (now_ns % self.period_ns) / self.period_ns
         return self.burst_rate_per_s if phase < self.duty else self.base_rate_per_s
 
-    def next_regime_edge_ns(self, now_ns: float) -> float:
+    def next_transient_ns(self, now_ns: float) -> float:
         period = self.period_ns
         cycle_start = now_ns - (now_ns % period)
         duty_edge = cycle_start + self.duty * period
@@ -207,31 +210,13 @@ class OpenLoopStats:
         """Latency summary — empty-safe: a window during which every
         arrival was shed (total outage) reports the zero summary
         instead of raising on the empty sample set."""
-        latencies = self.latencies_ns
-        if isinstance(latencies, ReservoirSample):
-            return latencies.summary()
-        if not latencies:
-            return LatencyStats.empty()
-        return LatencyStats.from_samples(latencies)
+        return self.latencies_ns.summary()
 
 
 class _SinkProtocol(typing.Protocol):  # pragma: no cover - typing aid
     outstanding: int
 
     def submit(self, request, timeout_ns: float) -> collections.abc.Generator: ...
-
-
-class _RegimeEdges:
-    """Adapter registering an arrival process's rate edges as a
-    :class:`~repro.sim.fluid.TransientSource`."""
-
-    __slots__ = ("arrivals",)
-
-    def __init__(self, arrivals: ArrivalProcess):
-        self.arrivals = arrivals
-
-    def next_transient_ns(self, now_ns: float) -> float:
-        return self.arrivals.next_regime_edge_ns(now_ns)
 
 
 class OpenLoopInjector:
@@ -243,6 +228,12 @@ class OpenLoopInjector:
     zero.  This replaces the old per-run children list + ``AllOf``
     barrier — O(1) memory per run instead of one list slot plus one
     condition callback per admitted arrival.
+
+    Fluid fast-forward (see :mod:`repro.sim.fluid`) follows the engine:
+    on an engine built with a coordinator, the arrival process is
+    registered as one of its transient sources and steady stretches are
+    credited analytically; otherwise every arrival is simulated
+    discretely.
     """
 
     def __init__(
@@ -254,7 +245,6 @@ class OpenLoopInjector:
         max_queue_depth: int | None = None,
         timeout_ns: float = 5 * SEC,
         seed_tag: str = "openloop",
-        fluid: bool | None = None,
     ):
         if not pool:
             raise ValueError("request pool must be non-empty")
@@ -271,16 +261,10 @@ class OpenLoopInjector:
         self._pool_index = 0
         self._open = 0  # in-flight handlers + the arrival source itself
         self._done: Event | None = None
-        # -- fluid fast-forward (opt-in; see repro.sim.fluid) --
-        # ``fluid=None`` follows the engine: enabled iff the engine was
-        # built with a coordinator.
-        if fluid is None:
-            fluid = engine.fluid is not None
-        self._fluid = bool(fluid) and engine.fluid is not None
         self._model = None  # persistent virtual queue across fluid windows
-        if self._fluid:
+        if engine.fluid is not None:
             self._fluid_rng = engine.rng.stream(f"openloop:{seed_tag}:fluid")
-            engine.fluid.register(_RegimeEdges(arrivals), guarded=False)
+            engine.fluid.register(arrivals, guarded=False)
 
     def _next_request(self):
         request = self.pool[self._pool_index % len(self.pool)]
@@ -297,8 +281,7 @@ class OpenLoopInjector:
         done = self.engine.event(name="openloop:done")
         self._done = done
         self._open = 1  # the arrival source's own count
-        body = self._arrivals_body_fluid if self._fluid else self._arrivals_body
-        self.engine.process(body(count), name="openloop.src")
+        self.engine.process(self._arrivals_body(count), name="openloop.src")
         return done
 
     def _close_one(self) -> None:
@@ -307,58 +290,18 @@ class OpenLoopInjector:
             self._done.succeed(self.stats)
 
     def _arrivals_body(self, count: int) -> collections.abc.Generator:
-        engine = self.engine
-        timeout = engine.timeout
-        spawn = engine.process
-        stats = self.stats
-        sink = self.sink
-        max_depth = self.max_queue_depth
-        rng = self._rng
-        # Constant-rate fast path: precompute the exponential scale once
-        # and draw straight from the hoisted ``expovariate`` instead of
-        # calling ``rate_at`` per arrival.  Same draws either way.
-        expovariate = rng.expovariate
-        constant_rate = self.arrivals.constant_rate_per_s()
-        scale = (SEC / constant_rate) if constant_rate else None
-        interarrival = self.arrivals.interarrival_ns
-        remaining = count
-        # One recycled Timeout serves every arrival gap: rearm() resets
-        # and re-schedules the dispatched object in place, so a million
-        # sleeps cost zero allocations instead of a million (identical
-        # schedule entries and RNG draws — same-seed runs are unchanged).
-        gate = None
-        while remaining:
-            if scale is not None:
-                wait = expovariate(1.0) * scale
-            else:
-                wait = interarrival(rng, engine.now)
-            if gate is None:
-                gate = timeout(wait)
-            else:
-                gate.rearm(wait)
-            yield gate
-            remaining -= 1
-            stats.offered += 1
-            if max_depth is not None and sink.outstanding >= max_depth:
-                stats.rejected += 1
-                continue
-            stats.admitted += 1
-            self._open += 1
-            spawn(self._handle(self._next_request(), engine.now))
-        self._close_one()  # release the source's own count
+        """The arrival source: one draw per arrival from the injector's
+        stream, each arrival simulated discretely — unless the engine
+        has a fluid coordinator, the cluster is quiescent (no pending
+        transient within the guard, no rate edge, real sink idle) and
+        the sink publishes a :class:`~repro.sim.fluid.FluidProfile`.
+        Then whole stretches of arrivals are credited analytically —
+        counters, admission decisions, and latency samples computed
+        from a virtual M/D/c queue — with a *single* engine event
+        advancing the clock across the window.
 
-    def _arrivals_body_fluid(self, count: int) -> collections.abc.Generator:
-        """The hybrid arrival source: identical RNG draw sequence and
-        arrival instants as :meth:`_arrivals_body`, but whenever the
-        cluster is quiescent (no pending transient within the guard, no
-        regime edge, real sink idle) and the sink publishes a
-        :class:`~repro.sim.fluid.FluidProfile`, whole stretches of
-        arrivals are credited analytically — counters, admission
-        decisions, and latency samples computed from a virtual M/D/c
-        queue — with a *single* engine event advancing the clock across
-        the window.
-
-        Exactness: with a deterministic-service profile the virtual
+        Exactness: the draw sequence and arrival instants are the same
+        either way.  With a deterministic-service profile the virtual
         queue reproduces the discrete sink's per-channel dynamics
         exactly (same arrival times, same round-robin assignment, same
         completion instants), so offered/admitted/rejected/completed
@@ -378,20 +321,30 @@ class OpenLoopInjector:
         max_depth = self.max_queue_depth
         request_timeout = self.timeout_ns
         rng = self._rng
+        # Constant-rate fast path: precompute the exponential scale once
+        # and draw straight from the hoisted ``expovariate`` instead of
+        # calling ``rate_at`` per arrival.  Same draws either way.
         expovariate = rng.expovariate
         constant_rate = arrivals.constant_rate_per_s()
         scale = (SEC / constant_rate) if constant_rate else None
         interarrival = arrivals.interarrival_ns
-        profile_fn = getattr(sink, "fluid_profile", None)
+        # Without a coordinator no window ever opens: every arrival
+        # takes the discrete branch.
+        profile_fn = (
+            getattr(sink, "fluid_profile", None) if coordinator is not None else None
+        )
         note_fluid = getattr(sink, "note_fluid", None)
         latencies = stats.latencies_ns
-        min_window = coordinator.min_window_ns
         from repro.sim.fluid import FluidModel, FluidWindow
 
         remaining = count
         pending_at: float | None = None  # drawn arrival not yet served
         tail_ns = 0.0  # latest analytically credited completion
-        gate = None  # recycled sleep Timeout (see _arrivals_body)
+        # One recycled Timeout serves every sleep: rearm() resets and
+        # re-schedules the dispatched object in place, so a million
+        # sleeps cost zero allocations instead of a million (identical
+        # schedule entries and RNG draws — same-seed runs are unchanged).
+        gate = None
         while remaining:
             now = engine.now
             if pending_at is None:
@@ -403,16 +356,15 @@ class OpenLoopInjector:
                 arrive_at = pending_at
                 pending_at = None
             # -- can an analytic window open at `now`? --------------------
+            # The coordinator's window already stops at the arrival
+            # process's next rate edge (it is a registered source); the
+            # horizon keeps a smoothly varying rate near-constant.
             profile = None
             if profile_fn is not None and sink.outstanding == 0:
-                window_end = coordinator.window_end(now)
-                edge = arrivals.next_regime_edge_ns(now)
-                if edge < window_end:
-                    window_end = edge
-                horizon = now + arrivals.fluid_horizon_ns(now)
-                if horizon < window_end:
-                    window_end = horizon
-                if window_end - now >= min_window and arrive_at <= window_end:
+                window_end = coordinator.usable_window(
+                    now, now + arrivals.fluid_horizon_ns(now)
+                )
+                if now < window_end and arrive_at <= window_end:
                     profile = profile_fn()
             if profile is not None and profile.exact:
                 model = self._model
@@ -428,7 +380,7 @@ class OpenLoopInjector:
                 ):
                     profile = None  # sink reshaped under a live tail
             if profile is None:
-                # -- discrete arrival: the legacy per-request sequence ----
+                # -- discrete arrival: one sleep, one admission check ----
                 if gate is None:
                     gate = timeout(arrive_at - now)
                 else:
@@ -447,37 +399,30 @@ class OpenLoopInjector:
             # -- analytic window: credit arrivals in [now, window_end] ----
             offered = admitted = rejected = completed = timeouts = 0
             latency_sum = 0.0
-            exact = profile.service_ns is not None
-            model = self._model if exact else None
+            # Exact mode runs each arrival through the virtual queue.
+            # Flow/sampler mode (live cluster sinks) has no virtual
+            # queue: admission is assumed (steady state implies the
+            # depth limit is slack) and sojourns are drawn from the
+            # sink's empirical distribution on a dedicated seeded stream.
+            model = self._model if profile.exact else None
             sampler = profile.sampler
             fluid_rng = self._fluid_rng
             t = arrive_at
             while True:
                 offered += 1
                 remaining -= 1
-                if exact:
+                if model is None:
+                    sojourn = sampler(fluid_rng)
+                else:
                     model.drain(t)
                     if max_depth is not None and model.outstanding >= max_depth:
-                        rejected += 1
+                        sojourn = None
                     else:
-                        admitted += 1
                         sojourn = model.offer(t) - t
-                        if sojourn > request_timeout:
-                            timeouts += 1
-                        else:
-                            completed += 1
-                            latency_sum += sojourn
-                            latencies.append(sojourn)
-                        if t + sojourn > tail_ns:
-                            tail_ns = t + sojourn
+                if sojourn is None:
+                    rejected += 1
                 else:
-                    # Flow/sampler mode (live cluster sinks): no virtual
-                    # queue — admission is assumed (steady state implies
-                    # the depth limit is slack) and sojourns are drawn
-                    # from the sink's empirical distribution on a
-                    # dedicated seeded stream.
                     admitted += 1
-                    sojourn = sampler(fluid_rng)
                     if sojourn > request_timeout:
                         timeouts += 1
                     else:
@@ -532,6 +477,11 @@ class OpenLoopInjector:
                 gate.rearm(target - now)
             yield gate
         self._close_one()  # release the source's own count
+
+    # ``stackbench/tracing.py`` ``ENTRY_POINTS`` patches both names from
+    # the class ``__dict__``; the alias goes with that entry at the
+    # stack benchmark's next change.
+    _arrivals_body_fluid = _arrivals_body
 
     def _handle(self, request, arrived_ns: float) -> collections.abc.Generator:
         try:

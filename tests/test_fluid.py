@@ -249,6 +249,68 @@ def test_fluid_matches_discrete_across_kill_and_repair():
     assert_equivalent(discrete, fluid, min_event_ratio=1.5)
 
 
+class ProfilelessEcho:
+    """The echo cluster without the fluid protocol: no ``fluid_profile``,
+    so no analytic window can ever open on it."""
+
+    def __init__(self, engine, servers, service_ns):
+        self._cluster = EchoCluster(engine, servers, service_ns)
+
+    @property
+    def outstanding(self):
+        return self._cluster.outstanding
+
+    def submit(self, request, timeout_ns):
+        return self._cluster.submit(request, timeout_ns)
+
+
+def run_profileless(fluid, arrivals):
+    engine = Engine(seed=2014, fluid=fluid)
+    injector = OpenLoopInjector(
+        engine,
+        ProfilelessEcho(engine, servers=4, service_ns=1_500.0),
+        arrivals,
+        pool=list(range(16)),
+        max_queue_depth=256,
+    )
+    stats = engine.run_until(injector.run(4_000))
+    return {
+        "counters": stats.to_dict(),
+        "latencies": list(stats.latencies_ns),
+        "now": engine.now,
+        "seq": engine._seq,
+        "dispatched": engine.events_dispatched,
+    }
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: PoissonArrivals(400_000.0),
+        lambda: BurstyArrivals(
+            base_rate_per_s=150_000.0,
+            burst_rate_per_s=900_000.0,
+            period_s=0.008,
+            duty=0.25,
+        ),
+    ],
+    ids=["poisson", "bursty"],
+)
+def test_fluid_engine_without_profile_runs_the_discrete_branch(factory):
+    """The one arrival loop falls back to its discrete branch when the
+    sink publishes no profile: a fluid engine then schedules exactly
+    what a discrete engine does, event for event."""
+    discrete = run_profileless(False, factory())
+    fluid = run_profileless(True, factory())
+    assert fluid == discrete
+
+
+def test_injector_has_one_arrival_loop():
+    # The second name is an alias kept for the stack benchmark's tracer.
+    body = OpenLoopInjector.__dict__["_arrivals_body"]
+    assert OpenLoopInjector.__dict__["_arrivals_body_fluid"] is body
+
+
 def test_fluid_off_is_the_default_and_discrete_path_is_unchanged():
     engine = Engine(seed=1)
     assert engine.fluid is None
@@ -319,7 +381,7 @@ def test_note_transient_forces_discrete_warmup():
     fluid = engine.fluid
     fluid.note_transient("test")
     assert fluid.window_end(0.0) == 0.0  # no window during warm-up
-    assert fluid.usable_window(0.0) == 0.0
+    assert fluid.usable_window(0.0, math.inf) == 0.0
     after = fluid.discrete_until_ns
     assert after == engine.now + fluid.warmup_ns
     assert fluid.window_end(after + 1.0) > after
@@ -332,7 +394,32 @@ def test_usable_window_enforces_minimum_width():
         ScheduledTransients([fluid.guard_ns + fluid.min_window_ns / 2])
     )
     assert fluid.window_end(0.0) == fluid.min_window_ns / 2
-    assert fluid.usable_window(0.0) == 0.0  # too narrow to engage
+    assert fluid.usable_window(0.0, math.inf) == 0.0  # too narrow to engage
+
+
+def test_usable_window_applies_the_callers_limit():
+    engine = Engine(seed=0, fluid=True)
+    fluid = engine.fluid
+    assert fluid.usable_window(0.0, 3.0 * MS) == 3.0 * MS
+    # A limit that leaves less than the minimum width closes the window.
+    assert fluid.usable_window(0.0, fluid.min_window_ns / 2) == 0.0
+
+
+def test_injector_registers_its_arrival_edges():
+    """An arrival process is itself a transient source: the injector
+    registers it, so a window never spans a burst edge."""
+    engine = Engine(seed=0, fluid=True)
+    bursty = BurstyArrivals(
+        base_rate_per_s=150_000.0,
+        burst_rate_per_s=900_000.0,
+        period_s=0.008,
+        duty=0.25,
+    )
+    assert engine.fluid.window_end(0.0) == math.inf
+    OpenLoopInjector(engine, EchoCluster(engine, 1, 1_500.0), bursty, [0])
+    assert bursty.next_transient_ns(0.0) == 2.0 * MS
+    assert engine.fluid.window_end(0.0) == 2.0 * MS
+    assert engine.fluid.window_end(3.0 * MS) == 8.0 * MS
 
 
 def test_run_deadline_bounds_windows():
