@@ -267,11 +267,12 @@ class Deployment:
         store = self._leases(server)
         quarantined = False
         try:
-            get = store.get()
-            if not get.triggered:
+            lease = store.try_get()
+            if lease is None:
                 # Contended: bound the wait, abandoning the claim on
                 # timeout so a late lease is not handed to a departed
                 # waiter (and thereby lost).
+                get = store.get()
                 deadline = self.engine.timeout(timeout_ns)
                 yield AnyOf(self.engine, [get, deadline])
                 if not get.triggered:
@@ -282,7 +283,7 @@ class Deployment:
                 # keep a bare run() alive (and the heap populated) for
                 # the full timeout after the request already resolved.
                 deadline.cancel()
-            lease = get.value
+                lease = get.value
             try:
                 if include_prep:
                     yield from self.adapter.prep(server)
@@ -304,7 +305,7 @@ class Deployment:
                 return response
             finally:
                 if not quarantined:
-                    yield store.put(lease)
+                    store.offer(lease)  # the pool is unbounded: always room
         finally:
             self.outstanding -= 1
 
@@ -321,7 +322,7 @@ class Deployment:
 
         def drain() -> collections.abc.Generator:
             yield server.buffers.consume_output(lease.slot_id)
-            yield store.put(lease)
+            store.offer(lease)
 
         # Not a daemon: a blocked process does not keep a bare run()
         # alive, and the lease hand-back must stay on the non-daemon

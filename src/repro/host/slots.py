@@ -18,7 +18,6 @@ import dataclasses
 from repro.analysis import ReservoirSample
 from repro.fabric.server import Server
 from repro.shell.messages import Packet, PacketKind
-from repro.sim import AnyOf
 from repro.sim.units import US
 
 # §3.1: the FPGA "generates an interrupt to wake and notify the
@@ -68,15 +67,21 @@ class SlotLease:
         if timeout_ns is None:
             response = yield consume
         else:
+            # Unless the response won the race, the deadline fails the consume.
+            def expire(_deadline) -> None:
+                if not consume.triggered:
+                    consume.fail(RequestTimeout(packet.trace_id))
+
             deadline = engine.timeout(timeout_ns)
-            yield AnyOf(engine, [consume, deadline])
-            if not consume.triggered:
+            deadline.callbacks = [expire]
+            try:
+                response = yield consume
+            except RequestTimeout:
                 self.timeouts += 1
-                raise RequestTimeout(packet.trace_id)
-            # The response won the race: disarm the deadline so it does
-            # not keep a bare run() alive for the full timeout.
+                raise
+            # Disarm the deadline so it does not keep a bare run() alive
+            # for the full timeout.
             deadline.cancel()
-            response = consume.value
         # The response interrupt must wake this sleeping thread (§3.1).
         yield engine.timeout(INTERRUPT_WAKE_NS)
         self.responses_received += 1

@@ -27,7 +27,7 @@ from repro.hardware.constants import (
 )
 from repro.shell.messages import Packet
 from repro.shell.router import Port, Router
-from repro.sim import Engine, Event, Resource
+from repro.sim import Engine, Event, Timeout
 from repro.sim.units import transfer_time_ns
 
 
@@ -43,7 +43,7 @@ class Slot:
     full: bool = False
     packet: Packet | None = None
     freed: Event | None = None  # waiters for the slot to drain
-    filled: Event | None = None  # waiters for data to arrive
+    filled: list[Event] = dataclasses.field(default_factory=list)  # consumes awaiting data
 
 
 class HostDmaBuffers:
@@ -66,7 +66,8 @@ class HostDmaBuffers:
         self.slot_bytes = slot_bytes
         self.input_slots = [Slot(i) for i in range(slot_count)]
         self.output_slots = [Slot(i) for i in range(slot_count)]
-        self._dma_wake: Event | None = None
+        self.full_inputs = 0  # input slots with their full bit set
+        self.device: PcieCore | None = None  # the DMA engine a fill wakes
 
     # -- host-thread side ----------------------------------------------------
 
@@ -87,7 +88,9 @@ class HostDmaBuffers:
         def do_fill(_event=None):
             slot.full = True
             slot.packet = packet
-            self._wake_dma()
+            self.full_inputs += 1
+            if self.device is not None and self.device._scan_idle:
+                self.device._input_scan_loop()
             done.succeed()
 
         if slot.full:
@@ -102,38 +105,30 @@ class HostDmaBuffers:
         """Wait for the output slot to fill; returns the packet, clears it."""
         slot = self._output_slot(slot_id)
         done = self.engine.event(name=f"consume:{slot_id}")
-
-        def do_consume(_event=None):
-            packet = slot.packet
-            slot.full = False
-            slot.packet = None
-            if slot.freed is not None:
-                freed, slot.freed = slot.freed, None
-                freed.succeed()
-            done.succeed(packet)
-
         if slot.full:
-            do_consume()
+            self._consume(slot, done)
         else:
-            if slot.filled is None:
-                slot.filled = self.engine.event(name=f"filled:{slot_id}")
-            slot.filled.add_callback(do_consume)
+            slot.filled.append(done)
         return done
+
+    def _consume(self, slot: Slot, done: Event) -> None:
+        packet = slot.packet
+        slot.full = False
+        slot.packet = None
+        if slot.freed is not None:
+            freed, slot.freed = slot.freed, None
+            freed.succeed()
+        # A waiter whose deadline already failed it still drains the slot.
+        if not done.triggered:
+            done.succeed(packet)
 
     # -- device side helpers -----------------------------------------------------
 
     def snapshot_full_input(self) -> list[int]:
         """The §3.1 fairness primitive: indices of currently full slots."""
+        if not self.full_inputs:
+            return []
         return [slot.index for slot in self.input_slots if slot.full]
-
-    def wait_any_input(self) -> Event:
-        if self._dma_wake is None or self._dma_wake.triggered:
-            self._dma_wake = self.engine.event(name="dma-wake")
-        return self._dma_wake
-
-    def _wake_dma(self) -> None:
-        if self._dma_wake is not None and not self._dma_wake.triggered:
-            self._dma_wake.succeed()
 
     def _input_slot(self, slot_id: int) -> Slot:
         if not 0 <= slot_id < self.slot_count:
@@ -156,7 +151,11 @@ class PcieStats:
 
 
 class PcieCore:
-    """Device-side PCIe + DMA engine living in the shell."""
+    """Device-side PCIe + DMA engine living in the shell.
+
+    Both DMA engines are callbacks that run only when there is work; a
+    transfer (descriptor, data movement, completion) is one timed event.
+    """
 
     def __init__(
         self,
@@ -165,7 +164,6 @@ class PcieCore:
         buffers: HostDmaBuffers,
         gbps: float = PCIE_GBPS,
         setup_ns: float = PCIE_DMA_SETUP_NS,
-        staging_buffers: int = 2,
     ):
         self.engine = engine
         self.router = router
@@ -176,12 +174,15 @@ class PcieCore:
         self.device_up = True
         self.on_nmi: collections.abc.Callable[[], None] | None = None
         self._device_up_event: Event | None = None
-        # Two staging buffers on the FPGA: at most two DMA transfers
-        # can be in flight between host memory and the router.
-        self._staging = Resource(engine, capacity=staging_buffers, name="pcie-staging")
-        # Expendable: both DMA loops idle forever once traffic stops.
-        engine.process(self._input_scan_loop(), name="pcie.scan", expendable=True)
-        engine.process(self._output_loop(), name="pcie.out", expendable=True)
+        # Input engine: rest of its snapshot, slot moving; output: response held.
+        self._scan_idle = False
+        self._pending: collections.abc.Iterator[int] = iter(())
+        self._moving: Slot | None = None
+        self._out_queue = router.output_queues[Port.PCIE]
+        self._holding: Packet | None = None
+        buffers.device = self
+        self._output_loop(self._out_queue.take(self._output_loop))
+        self._input_scan_loop()  # the first snapshot, taken at power-on
 
     # -- reconfiguration visibility ----------------------------------------------
 
@@ -202,65 +203,85 @@ class PcieCore:
             self._device_up_event = self.engine.event(name="pcie-up")
         return self._device_up_event
 
-    # -- DMA processes -----------------------------------------------------------------
+    # -- DMA engines ---------------------------------------------------------------
 
     def dma_time_ns(self, size_bytes: int) -> float:
         return self.setup_ns + transfer_time_ns(size_bytes, self.gbps)
 
-    def _input_scan_loop(self) -> collections.abc.Generator:
+    def _input_scan_loop(self, event: Event | None = None) -> None:
+        """The input DMA engine: run by a fill that finds it idle, the
+        device coming back, its transfer's timeout, or a router put that
+        waited.  Fairness (§3.1): a snapshot's slots move before the next."""
+        self._scan_idle = False
         buffers = self.buffers
+        slot, self._moving = self._moving, None
+        if isinstance(event, Timeout):
+            # Transfer complete: clear the full bit so the thread can
+            # refill while the packet traverses the fabric.
+            packet = slot.packet
+            slot.full = False
+            slot.packet = None
+            buffers.full_inputs -= 1
+            if slot.freed is not None:
+                freed, slot.freed = slot.freed, None
+                freed.succeed()
+            self.stats.requests_dma_in += 1
+            if packet.injected_at_ns is None:
+                packet.injected_at_ns = self.engine.now
+            put = self.router.submit(packet, Port.PCIE)
+            if put is not None and not put.triggered:
+                self._moving = slot
+                put.add_callback(self._input_scan_loop)
+                return
         while True:
+            for index in self._pending:
+                slot = buffers.input_slots[index]
+                if slot.packet is not None:
+                    self._moving = slot
+                    self.engine.timeout(
+                        self.dma_time_ns(slot.packet.size_bytes)
+                    ).callbacks = [self._input_scan_loop]
+                    return
             if not self.device_up:
-                yield self._wait_device_up()
-                continue
+                self._wait_device_up().add_callback(self._input_scan_loop)
+                return
             snapshot = buffers.snapshot_full_input()
             self.stats.snapshots += 1
             if not snapshot:
-                yield buffers.wait_any_input()
-                continue
-            # Fairness: DMA every slot in this snapshot before rescanning.
-            for index in snapshot:
-                slot = buffers.input_slots[index]
-                packet = slot.packet
-                if packet is None:
-                    continue
-                grant = self._staging.request()
-                yield grant
-                yield self.engine.timeout(self.dma_time_ns(packet.size_bytes))
-                # Transfer complete: clear the full bit so the thread
-                # can refill while the packet traverses the fabric.
-                slot.full = False
-                slot.packet = None
-                if slot.freed is not None:
-                    freed, slot.freed = slot.freed, None
-                    freed.succeed()
-                self.stats.requests_dma_in += 1
-                if packet.injected_at_ns is None:
-                    packet.injected_at_ns = self.engine.now
-                put = self.router.submit(packet, Port.PCIE)
-                if put is not None:
-                    yield put
-                self._staging.release()
+                self._scan_idle = True  # until the next fill
+                return
+            self._pending = iter(snapshot)
 
-    def _output_loop(self) -> collections.abc.Generator:
-        queue = self.router.output_queues[Port.PCIE]
-        while True:
-            packet: Packet = yield queue.get()
-            if not self.device_up:
-                yield self._wait_device_up()
-            if packet.slot_id is None:
-                continue  # nowhere to deliver (e.g. probe responses)
-            slot = self.buffers.output_slots[packet.slot_id]
-            while slot.full:
-                # Output slot still occupied: wait for consumer drain.
-                if slot.freed is None:
-                    slot.freed = self.engine.event(name=f"ofreed:{slot.index}")
-                yield slot.freed
-            yield self.engine.timeout(self.dma_time_ns(packet.size_bytes))
-            slot.full = True
-            slot.packet = packet
-            self.stats.responses_dma_out += 1
-            self.stats.interrupts_raised += 1  # wake the consumer thread
-            if slot.filled is not None:
-                filled, slot.filled = slot.filled, None
-                filled.succeed()
+    def _output_loop(self, arg: object = None) -> None:
+        """The output DMA engine: run with a response the PCIe queue hands
+        over, or with what the one it holds waited on (the device, its
+        slot draining, its transfer's timeout)."""
+        fresh = self._holding is None  # just taken from the queue: device unchecked
+        packet, self._holding = self._holding or arg, None
+        while packet is not None:
+            if fresh and not self.device_up:
+                self._hold(packet, self._wait_device_up())
+                return
+            if packet.slot_id is not None:  # else nowhere to deliver (probes)
+                slot = self.buffers.output_slots[packet.slot_id]
+                if fresh or not isinstance(arg, Timeout):
+                    if slot.full:
+                        # Output slot still occupied: wait for consumer drain.
+                        if slot.freed is None:
+                            slot.freed = self.engine.event(name=f"ofreed:{slot.index}")
+                        self._hold(packet, slot.freed)
+                    else:
+                        self._hold(packet, self.engine.timeout(self.dma_time_ns(packet.size_bytes)))
+                    return
+                slot.full = True
+                slot.packet = packet
+                self.stats.responses_dma_out += 1
+                self.stats.interrupts_raised += 1  # wake the consumer thread
+                for done in slot.filled:
+                    self.buffers._consume(slot, done)
+                slot.filled.clear()
+            packet, fresh = self._out_queue.take(self._output_loop), True
+
+    def _hold(self, packet: Packet, until: Event) -> None:
+        self._holding = packet
+        until.add_callback(self._output_loop)

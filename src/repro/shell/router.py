@@ -69,6 +69,8 @@ class Router:
         self._queue_probe = [
             (port.value, store.items) for port, store in self.output_queues.items()
         ]
+        # What submit() returns for a packet queued at once (dispatched).
+        self._queued = engine.event(name=f"queued:{node_id}").succeed()
 
     # -- configuration ------------------------------------------------------
 
@@ -87,7 +89,8 @@ class Router:
     # -- data path ------------------------------------------------------------
 
     def submit(self, packet: Packet, in_port: Port) -> Event | None:
-        """Route ``packet``; returns a put event (yield it) or None if dropped."""
+        """Route ``packet``; returns an event to yield (a waiting put only
+        when the output queue is full), or None if dropped."""
         out_port = self._select_output(packet)
         if out_port is None:
             self.dropped_no_route += 1
@@ -95,7 +98,10 @@ class Router:
         self.forwarded += 1
         packet.route.append(self.node_id)
         self._record(packet, in_port, out_port)
-        return self._queue_of[out_port._value_].put(packet)
+        queue = self._queue_of[out_port._value_]
+        if queue.offer(packet):
+            return self._queued
+        return queue.put(packet)
 
     def _select_output(self, packet: Packet) -> Port | None:
         if packet.kind is PacketKind.GARBAGE:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import functools
 
 from repro.hardware.bitstream import Bitstream
 from repro.hardware.constants import DramSpeed
@@ -31,7 +32,7 @@ from repro.shell.pcie import HostDmaBuffers, PcieCore
 from repro.shell.role import Role
 from repro.shell.router import NETWORK_PORTS, Port, Router
 from repro.shell.sl3 import Sl3Config, Sl3Endpoint
-from repro.sim import Engine, Event
+from repro.sim import Engine, Event, Store
 from repro.sim.units import MS
 
 
@@ -98,23 +99,23 @@ class Shell:
         endpoint.deliver = lambda packet: self.router.submit(packet, port)
         endpoint.advertised_id = self.machine_id  # exchanged at link training
         self.endpoints[port] = endpoint
-        # Expendable: a feeder blocks forever once traffic stops.
-        self.engine.process(
-            self._link_feeder(port, endpoint),
-            name=f"feed.{endpoint.name}",
-            expendable=True,
-        )
+        queue = self.router.output_queues[port]
+        endpoint.feeder = functools.partial(self._link_feeder, queue, endpoint)
+        endpoint.feeder(queue.take(endpoint.feeder))  # serve what is queued, then wait
         self.fdr.record_power_on(f"sl3_{port.value}_lock", endpoint.locked)
         return endpoint
 
-    def _link_feeder(self, port: Port, endpoint: Sl3Endpoint) -> collections.abc.Generator:
-        """Drain the router output queue for ``port`` onto the link."""
-        queue = self.router.output_queues[port]
-        while True:
-            packet: Packet = yield queue.get()
-            if self.tx_halt_asserted:
-                continue  # we promised neighbours silence
-            yield endpoint.send(packet)
+    def _link_feeder(self, queue: Store, endpoint: Sl3Endpoint, arg: object) -> None:
+        """Drain a router output queue onto its link; called with a packet
+        the queue hands over, or with the send that waited for TX room."""
+        packet = queue.take(endpoint.feeder) if isinstance(arg, Event) else arg
+        while packet is not None:
+            if not self.tx_halt_asserted:  # else dropped: we promised neighbours silence
+                sent = endpoint.send(packet)
+                if not sent.triggered:
+                    sent.add_callback(endpoint.feeder)
+                    return
+            packet = queue.take(endpoint.feeder)
 
     # -- role hosting ---------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import functools
 
 from repro.hardware.constants import (
     SL3_ECC_BANDWIDTH_TAX,
@@ -30,7 +31,7 @@ from repro.hardware.constants import (
     SL3_PEAK_GBPS,
 )
 from repro.shell.messages import Packet, PacketKind
-from repro.sim import Engine, Store
+from repro.sim import Engine, Event, Store
 from repro.sim.units import transfer_time_ns
 
 
@@ -88,6 +89,13 @@ class Sl3Endpoint:
         # Wired by the shell: invoked with each delivered packet.
         self.deliver: collections.abc.Callable[[Packet], object] | None = None
         self.link: "Sl3Link | None" = None
+        # FIFO callbacks: the shell's feeder fills ``tx_queue``, the link's wire
+        # drains it (``crossing`` is on the wire), its receiver ``rx_fifo``.
+        self.feeder: collections.abc.Callable | None = None
+        self.wire: collections.abc.Callable | None = None
+        self.receiver: collections.abc.Callable | None = None
+        self.crossing: Packet | None = None
+        self._queued = engine.event(name=f"queued:{name}").succeed()
 
     @property
     def peer(self) -> "Sl3Endpoint":
@@ -95,9 +103,12 @@ class Sl3Endpoint:
             raise RuntimeError(f"endpoint {self.name} is not attached to a link")
         return self.link.b if self.link.a is self else self.link.a
 
-    def send(self, packet: Packet):
-        """Enqueue for transmission; returns the (possibly blocking) put."""
+    def send(self, packet: Packet) -> Event:
+        """Enqueue for transmission; returns an event (a waiting put only
+        when the TX queue is full)."""
         self.stats.packets_sent += 1
+        if self.tx_queue.offer(packet):
+            return self._queued
         return self.tx_queue.put(packet)
 
     def assert_tx_halt(self):
@@ -121,10 +132,11 @@ class Sl3Endpoint:
 class Sl3Link:
     """A full-duplex link between two endpoints.
 
-    Each direction runs two processes: a *wire* process that serializes
-    packets (subject to error injection and the peer's halt state) into
-    the far receive FIFO — blocking there is exactly Xoff — and a
-    *delivery* process that drains the FIFO into the far shell.
+    Each direction has a *wire* that serializes packets (subject to error
+    injection and the peer's halt state) into the far receive FIFO — a
+    full FIFO holds it back, which is exactly Xoff — and a *delivery*
+    side that drains the FIFO into the far shell.  Both are callbacks:
+    an idle hop costs one timed event.
     """
 
     def __init__(
@@ -145,57 +157,72 @@ class Sl3Link:
         self.broken = False  # cable failure
         self._rng = engine.rng.stream(f"sl3:{name}")
         for src, dst in ((a, b), (b, a)):
-            # Expendable: link loops wait for the next flit forever.
-            engine.process(
-                self._wire(src, dst), name=f"sl3.wire.{src.name}", expendable=True
-            )
-            engine.process(
-                self._delivery(dst), name=f"sl3.rx.{dst.name}", expendable=True
-            )
+            src.wire = functools.partial(self._wire, src, dst)
+            dst.receiver = functools.partial(self._delivery, dst)
+            src.wire(src.tx_queue.take(src.wire))  # serve what is queued, then wait
+            dst.receiver(dst.rx_fifo.take(dst.receiver))
 
-    # -- processes --------------------------------------------------------
+    # -- service callbacks --------------------------------------------------
 
-    def _wire(self, src: Sl3Endpoint, dst: Sl3Endpoint):
-        config = self.config
-        while True:
-            packet: Packet = yield src.tx_queue.get()
-            serialization = transfer_time_ns(packet.size_bytes, config.effective_gbps)
-            yield self.engine.timeout(serialization + config.hop_latency_ns)
-            if self.broken:
-                src.stats.dropped_link_down += 1
-                continue
-            if packet.kind is PacketKind.TX_HALT:
-                # Link-level control: processed even under RX halt.
-                dst.ignore_peer = True
-                continue
-            if dst.ignore_peer:
-                dst.stats.dropped_ignore_peer += 1
-                continue
-            if dst.rx_halt:
-                dst.stats.dropped_rx_halt += 1
-                continue
-            survived, corrected = self._apply_channel_errors(packet)
-            dst.stats.corrected_flits += corrected
-            if not survived:
-                dst.stats.dropped_crc += 1
-                continue
-            if dst.rx_fifo.is_full:
-                dst.stats.xoff_events += 1
-            yield dst.rx_fifo.put(packet)  # blocks while Xoff is asserted
+    def _wire(self, src: Sl3Endpoint, dst: Sl3Endpoint, arg: object) -> None:
+        """One direction's wire: run with a packet the TX queue hands over,
+        the hop's timeout, or the receive FIFO's put once Xoff lifts.  The
+        next packet goes on the wire before the crossed one lands."""
+        crossed, src.crossing = src.crossing, None
+        if crossed is not None and not self._survives(crossed, src, dst):
+            crossed = None
+        elif crossed is not None and dst.rx_fifo.is_full:
+            dst.stats.xoff_events += 1  # Xoff: the wire waits for room
+            dst.rx_fifo.put(crossed).add_callback(src.wire)
+            return
+        packet = src.tx_queue.take(src.wire) if isinstance(arg, Event) else arg
+        if packet is not None:
+            src.crossing = packet
+            config = self.config
+            self.engine.timeout(
+                transfer_time_ns(packet.size_bytes, config.effective_gbps)
+                + config.hop_latency_ns
+            ).callbacks = [src.wire]
+        if crossed is not None:
+            dst.rx_fifo.offer(crossed)  # room was checked above
 
-    def _delivery(self, endpoint: Sl3Endpoint):
-        while True:
-            packet: Packet = yield endpoint.rx_fifo.get()
+    def _survives(self, packet: Packet, src: Sl3Endpoint, dst: Sl3Endpoint) -> bool:
+        """Whether a crossed packet lands (link control, drops, ECC)."""
+        if self.broken:
+            src.stats.dropped_link_down += 1
+            return False
+        if packet.kind is PacketKind.TX_HALT:
+            # Link-level control: processed even under RX halt.
+            dst.ignore_peer = True
+            return False
+        if dst.ignore_peer:
+            dst.stats.dropped_ignore_peer += 1
+            return False
+        if dst.rx_halt:
+            dst.stats.dropped_rx_halt += 1
+            return False
+        survived, corrected = self._apply_channel_errors(packet)
+        dst.stats.corrected_flits += corrected
+        if not survived:
+            dst.stats.dropped_crc += 1
+        return survived
+
+    def _delivery(self, endpoint: Sl3Endpoint, arg: object) -> None:
+        """Drain ``endpoint``'s receive FIFO into its shell; called with a
+        packet the FIFO hands over, or with the delivery it waited on."""
+        packet = endpoint.rx_fifo.take(endpoint.receiver) if isinstance(arg, Event) else arg
+        while packet is not None:
             packet.hops += 1
             endpoint.stats.packets_delivered += 1
             endpoint.stats.bytes_delivered += packet.size_bytes
             if packet.kind is PacketKind.GARBAGE:
                 endpoint.stats.garbage_received += 1
-            if endpoint.deliver is None:
-                continue
-            result = endpoint.deliver(packet)
-            if result is not None:
-                yield result  # backpressure from the router
+            if endpoint.deliver is not None:
+                result = endpoint.deliver(packet)
+                if result is not None and not result.triggered:
+                    result.add_callback(endpoint.receiver)  # router backpressure
+                    return
+            packet = endpoint.rx_fifo.take(endpoint.receiver)
 
     # -- error channel -----------------------------------------------------
 

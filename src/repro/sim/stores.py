@@ -2,12 +2,14 @@
 
 ``Store.put`` and ``Store.get`` return events; processes yield them.
 Bounded stores apply backpressure: a ``put`` into a full store blocks
-until a consumer makes room — this is how Xon/Xoff flow control and
-DMA staging buffers are modelled.
+until a consumer makes room — this is how Xon/Xoff flow control is
+modelled.  Callbacks (DMA engines, links) use ``offer`` and ``take``
+instead, which make no event unless they have to wait.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import heapq
 import math
 import typing
@@ -38,7 +40,8 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: deque = deque()
-        self._getters: deque[Event] = deque()
+        # Waiting consumers in request order: get() events and take() callbacks.
+        self._getters: deque = deque()
         self._putters: deque[tuple[Event, object]] = deque()
         # Event labels are precomputed: put/get run once per item moved,
         # and per-event f-string formatting shows up in long experiments.
@@ -74,6 +77,23 @@ class Store:
             self._getters.append(event)
         return event
 
+    # -- callback API --------------------------------------------------------
+
+    def offer(self, item: object) -> bool:
+        """Enqueue ``item`` now, with no event, if a ``put`` would not wait."""
+        if self._putters or len(self.items) >= self.capacity:
+            return False
+        self._enqueue(item)
+        return True
+
+    def take(self, consumer: collections.abc.Callable[[object], None]) -> object:
+        """The next item if one is queued; else None, and ``consumer`` is
+        called with the next item put.  Drain with a loop until None."""
+        if self.items:
+            return self.try_get()
+        self._getters.append(consumer)
+        return None
+
     # -- non-blocking API ---------------------------------------------------
 
     def try_put(self, item: object) -> None:
@@ -92,19 +112,21 @@ class Store:
 
     # -- internals -----------------------------------------------------------
 
-    def _pop_live_getter(self):
-        """Next getter whose process has not been killed/interrupted."""
-        while self._getters:
-            event = self._getters.popleft()
-            if not event.cancelled:
-                return event
-        return None
+    def _hand_over(self, item: object) -> bool:
+        """Hand ``item`` to the oldest live get() or take() consumer, if any."""
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
+            if getter.__class__ is not Event:
+                getter(item)
+                return True
+            if not getter.cancelled:
+                getter.succeed(item)
+                return True
+        return False
 
     def _enqueue(self, item: object) -> None:
-        getter = self._pop_live_getter()
-        if getter is not None:
-            getter.succeed(item)
-        else:
+        if not self._hand_over(item):
             self.items.append(item)
 
     def _admit_waiting_putters(self) -> None:
@@ -137,10 +159,7 @@ class PriorityStore(Store):
         return len(self.items)
 
     def _enqueue(self, item: object) -> None:
-        getter = self._pop_live_getter()
-        if getter is not None:
-            getter.succeed(item)
-        else:
+        if not self._hand_over(item):
             heapq.heappush(self.items, item)
 
     def get(self) -> Event:

@@ -113,6 +113,22 @@ def test_snapshot_fairness_drains_all_full_slots():
     assert pcie.stats.snapshots < 8 + 3
 
 
+def test_full_input_count_keeps_snapshots_in_slot_order():
+    eng = Engine()
+    router, buffers, pcie = setup_pcie(eng)
+    pcie.device_down()  # hold the DMA engine so the fills stay visible
+    for slot in (5, 2, 7):
+        buffers.fill_input(slot, request())
+    assert buffers.full_inputs == 3
+    assert buffers.snapshot_full_input() == [2, 5, 7]
+    pcie.device_restored()
+    eng.run()
+    assert buffers.full_inputs == 0
+    assert buffers.snapshot_full_input() == []
+    assert pcie.stats.requests_dma_in == 3
+    assert pcie.stats.snapshots == 3  # power-on, the one moving [2, 5, 7], the empty rescan
+
+
 def test_output_slot_roundtrip_with_interrupt():
     eng = Engine()
     router, buffers, pcie = setup_pcie(eng)

@@ -99,9 +99,12 @@ class EchoRole(Role):
 
 
 def test_counts_match_the_queued_kernel_on_a_fixed_scenario():
-    """Three hosts share a token and echo through a 3x4 pod.  The counts
-    and latencies are those of the kernel that queued every event: inline
-    completion moves no event, number or timestamp."""
+    """Three hosts share a token and echo through a 3x4 pod.  The
+    latencies and the end time are those of the kernel that queued every
+    event: neither inline completion nor the shell's callback-driven DMA
+    engines and links move a timestamp.  The counts are those of the
+    callback-driven shell (the queued kernel with process-driven shell
+    loops dispatched 763 events, 226 of them inline, over 775 numbers)."""
     eng = Engine(seed=11)
     pod = Pod(eng, topology=TorusTopology(width=3, height=4))
     pod.release_all_rx_halts()
@@ -125,9 +128,9 @@ def test_counts_match_the_queued_kernel_on_a_fixed_scenario():
         client = SlotClient(pod.server_at(src))
         eng.process(thread(eng, client, dst, (4096, 512, 64, 16384)))
     eng.run()
-    assert (eng.events_dispatched, eng._seq, eng.now) == (763, 775, 161_220.0)
+    assert (eng.events_dispatched, eng._seq, eng.now) == (247, 259, 161_220.0)
     assert sorted(latencies) == [
         30_100.0, 30_100.0, 30_660.0, 30_660.0, 30_940.0, 31_724.0,
         35_140.0, 35_140.0, 37_996.0, 50_500.0, 50_500.0, 59_500.0,
     ]
-    assert eng.events_inlined == 226
+    assert eng.events_inlined == 82

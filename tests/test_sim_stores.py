@@ -121,6 +121,62 @@ def test_multiple_getters_served_in_order():
     assert got == [("first", "a"), ("second", "b")]
 
 
+def test_offer_enqueues_without_an_event_only_when_put_would_not_wait():
+    eng = Engine()
+    store = Store(eng, capacity=2)
+    assert store.offer("a") and store.offer("b")
+    assert not store.offer("c")  # full
+    assert eng._seq == 0  # no event was made
+    blocked = store.put("c")
+    assert store.try_get() == "a"  # admits the waiting put
+    assert blocked.triggered
+    assert not store.offer("d")  # full again
+    assert list(store.items) == ["b", "c"]
+
+
+def test_take_returns_a_queued_item_or_calls_back_with_the_next_put():
+    eng = Engine()
+    store = Store(eng)
+    store.offer(1)
+    seen = []
+    assert store.take(seen.append) == 1  # queued: handed back at once
+    assert store.take(seen.append) is None  # empty: the callback waits
+    store.offer(2)
+    assert seen == [2] and len(store) == 0
+    store.offer(3)  # the callback was used up
+    assert list(store.items) == [3]
+
+
+def test_take_and_get_consumers_are_served_in_request_order():
+    eng = Engine()
+    store = Store(eng)
+    got = []
+    first = store.get()
+    store.take(lambda item: got.append(("take", item)))
+    last = store.get()
+    for item in range(3):
+        store.offer(item)
+    eng.run()
+    assert (first.value, got, last.value) == (0, [("take", 1)], 2)
+
+
+def test_take_drains_a_backlog_in_a_loop():
+    eng = Engine()
+    store = PriorityStore(eng)
+    for item in (5, 1, 4, 2, 3):
+        store.offer(item)
+    drained = []
+
+    def serve(item):
+        while item is not None:
+            drained.append(item)
+            item = store.take(serve)
+
+    serve(store.take(serve))
+    store.offer(9)
+    assert drained == [1, 2, 3, 4, 5, 9]
+
+
 def test_priority_store_orders_items():
     eng = Engine()
     store = PriorityStore(eng)
